@@ -84,8 +84,8 @@ void IncrementalController::on_arrival(const VmArrivalFrame& frame) {
   if (it != index_of_.end() && vms_[it->second].resident)
     return;  // duplicate arrival: first one wins
 
-  // A re-arrival of a departed id gets a fresh dense slot; dense indices
-  // are never reused, so placement history stays unambiguous.
+  // A re-arrival of a departed id gets a fresh slot at the end; the
+  // departed slot stays (unreachable through index_of_) until compact().
   const std::size_t dense = vms_.size();
   VmState state;
   state.id = frame.vm;
@@ -252,16 +252,23 @@ DecisionBatchFrame IncrementalController::tick(std::uint64_t now) {
                                DecisionReason::kContention, move.from,
                                move.to});
   }
-  for (const std::size_t host : outcome.unresolved_hosts) {
-    // The overload persists; hold the host's first resident explicitly so
-    // the operator sees the stuck host in the decision log.
+  if (!outcome.unresolved_hosts.empty()) {
+    // The overload persists; hold each stuck host's first resident
+    // explicitly so the operator sees the host in the decision log.
+    std::vector<std::size_t> first_resident(placement.host_index_bound(), n);
     for (std::size_t vm = 0; vm < n; ++vm) {
-      if (placement.host_of(vm) != static_cast<std::int32_t>(host)) continue;
-      batch.decisions.push_back({vms_[vm].id, DecisionAction::kHold,
+      const std::int32_t host = placement.host_of(vm);
+      if (host == Placement::kUnplaced) continue;
+      std::size_t& first = first_resident[static_cast<std::size_t>(host)];
+      if (first == n) first = vm;
+    }
+    for (const std::size_t host : outcome.unresolved_hosts) {
+      if (host >= first_resident.size() || first_resident[host] == n) continue;
+      batch.decisions.push_back({vms_[first_resident[host]].id,
+                                 DecisionAction::kHold,
                                  DecisionReason::kNoCapacity,
                                  static_cast<std::int32_t>(host),
                                  static_cast<std::int32_t>(host)});
-      break;
     }
   }
   for (const PlacementMove& move : outcome.drain_moves)
@@ -270,7 +277,41 @@ DecisionBatchFrame IncrementalController::tick(std::uint64_t now) {
                                move.to});
 
   for (std::size_t vm = 0; vm < n; ++vm) host_of_[vm] = placement.host_of(vm);
+  compact();
   return batch;
+}
+
+void IncrementalController::compact() {
+  // One stable pass: survivors keep their relative order, so every
+  // order-dependent choice of later ticks is the one the uncompacted
+  // state would have made. Departed VMs are unplaced and out of pending_
+  // (on_departure), so only index_of_ needs more than the shift.
+  constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> moved_to(vms_.size(), kDropped);
+  std::size_t kept = 0;
+  for (std::size_t dense = 0; dense < vms_.size(); ++dense) {
+    if (!vms_[dense].resident) continue;
+    if (kept != dense) {
+      vms_[kept] = std::move(vms_[dense]);
+      host_of_[kept] = host_of_[dense];
+    }
+    moved_to[dense] = kept++;
+  }
+  if (kept == vms_.size()) return;
+  vms_.resize(kept);
+  host_of_.resize(kept);
+  for (std::size_t& dense : pending_) dense = moved_to[dense];
+  // An id maps to its newest slot; it leaves the map only if that slot
+  // departed (a departed-then-re-arrived id keeps its new slot).
+  for (auto it = index_of_.begin(); it != index_of_.end();) {
+    if (moved_to[it->second] == kDropped) {
+      it = index_of_.erase(it);
+    } else {
+      it->second = moved_to[it->second];
+      ++it;
+    }
+  }
+  constraints_dirty_ = true;  // spread rules name dense indices
 }
 
 void IncrementalController::save_state(wire::ByteWriter& w) const {
@@ -345,9 +386,11 @@ void IncrementalController::restore_state(wire::ByteReader& r) {
     degraded_ = false;
     throw;
   }
-  // Dense indices are append-only and a re-arrival points the map at its
+  // Slots are in arrival order and a re-arrival points the map at its
   // newest slot (on_arrival), so rebuilding in dense order — later entries
-  // overwriting earlier ones — reproduces the live map exactly.
+  // overwriting earlier ones — reproduces the live map exactly. A snapshot
+  // taken between a departure and the next tick still holds the departed
+  // slot, as the live controller does; both drop it at that tick's end.
   for (std::size_t dense = 0; dense < vms_.size(); ++dense)
     index_of_[vms_[dense].id] = dense;
 }

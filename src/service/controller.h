@@ -129,11 +129,20 @@ class IncrementalController {
   /// Recompile spread rules over the resident fleet (called lazily at the
   /// next tick after membership changed).
   void rebuild_constraints();
+  /// Drop every departed VM's slot, keeping survivors in dense order (the
+  /// last step of tick()).
+  void compact();
 
   ControllerConfig config_;
   std::uint64_t fleet_hash_ = 0;
 
-  std::vector<VmState> vms_;  ///< dense, indices never reused
+  /// Dense per-VM slots in arrival order. A departed VM keeps its slot
+  /// until the end of the next tick, when compact() drops it and shifts
+  /// the survivors down in order, so state follows residents, not uptime.
+  /// Decisions are unchanged by the shift: they name external ids, and
+  /// every tie-break downstream (admission FIFO, spread groups, repair and
+  /// drain scans) depends only on the relative dense order of residents.
+  std::vector<VmState> vms_;
   /// External VM id -> dense index. Ordered map: admission FIFO and
   /// constraint groups must not depend on hash iteration order.
   std::map<std::uint64_t, std::size_t> index_of_;

@@ -27,6 +27,7 @@
 #include "runtime/wire.h"
 #include "service/churn.h"
 #include "service/collector.h"
+#include "service/controller.h"
 #include "service/daemon.h"
 #include "service/ingest.h"
 #include "service/snapshot.h"
@@ -230,6 +231,42 @@ TEST(ControllerState, RestoreRejectsTruncatedBytes) {
   EXPECT_THROW(victim.restore_state(r), std::runtime_error);
 }
 
+TEST(ControllerState, StateBytesFollowResidentsNotUptime) {
+  // Steady churn: ~200 residents, a tenth of them replaced every tick. By
+  // tick 4N the controller has seen four times as many VMs as at tick N,
+  // but holds about as many; its saved state must not grow with the rest.
+  ChurnOptions churn;
+  churn.agents = 4;
+  churn.initial_vms = 200;
+  churn.ticks = 160;
+  churn.arrivals_per_tick = 20.0;
+  churn.departure_prob = 0.1;
+  churn.mean_host_fraction = 0.1;
+  churn.seed = 3;
+  IncrementalController controller{ControllerConfig{}};
+  std::map<std::uint64_t, std::size_t> state_size;  // tick -> bytes
+  for (const Frame& frame : generate_churn(churn, ControllerConfig{})) {
+    const auto* flush = std::get_if<FlushFrame>(&frame);
+    if (flush == nullptr) {
+      controller.apply(frame);
+      continue;
+    }
+    controller.tick(flush->tick);
+    if (flush->tick == churn.ticks / 4 || flush->tick == churn.ticks) {
+      wire::ByteWriter w;
+      controller.save_state(w);
+      state_size[flush->tick] = w.bytes().size();
+    }
+  }
+  ASSERT_EQ(state_size.size(), 2u);
+  const double growth = static_cast<double>(state_size[churn.ticks]) /
+                        static_cast<double>(state_size[churn.ticks / 4]);
+  EXPECT_LE(growth, 1.25) << state_size[churn.ticks / 4] << " bytes at tick "
+                          << churn.ticks / 4 << ", "
+                          << state_size[churn.ticks] << " at tick "
+                          << churn.ticks;
+}
+
 // ------------------------------------------------------ segment rotation
 
 TEST(SegmentedLog, RotatesSealsAndStitchesBackTogether) {
@@ -425,7 +462,22 @@ TEST(SegmentedLog, ReclaimBeforeUnlinksOnlyWhollyCoveredSealedSegments) {
 
 TEST(Recovery, SnapshotPlusSuffixMatchesColdReplayAtAnyThreadCount) {
   const std::string dir = temp_dir("vmcw_rec_threads");
-  const auto frames = small_churn();
+  // Several hundred departures, so both the live run and every resume
+  // compact departed slots many times (and snapshots land between a
+  // departure and the tick that drops it).
+  ChurnOptions churn;
+  churn.agents = 4;
+  churn.initial_vms = 60;
+  churn.ticks = 128;
+  churn.arrivals_per_tick = 3.0;
+  churn.departure_prob = 0.05;
+  churn.mean_host_fraction = 0.3;
+  churn.seed = 11;
+  const auto frames = generate_churn(churn, ControllerConfig{});
+  std::size_t departures = 0;
+  for (const Frame& frame : frames)
+    departures += std::holds_alternative<VmDepartureFrame>(frame);
+  EXPECT_GE(departures, 300u);
   const std::size_t cut = frames.size() * 2 / 3;
 
   // Reference: uninterrupted run over the whole stream.
