@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -643,6 +644,177 @@ TEST(Recovery, FreshOpenRemovesTheStreamsOldSnapshot) {
   daemon.open();
   EXPECT_FALSE(fs::exists(dir + "/ctrl.snap"));
   daemon.close();
+}
+
+// ------------------------------------- chain-validation equivalence pins
+
+// Damaged-chain resumes with every expectation recorded once and frozen:
+// which segment files survive, what open() reports, and the decision log
+// the resumed daemon finishes with. A change to how restart reads the
+// chain (how it checksums, parses or stores frames) must leave all of
+// them alone. The live run cuts 8-frame segments and snapshots every 20
+// frames, so the last snapshot's boundary falls inside a sealed segment,
+// below it lie whole sealed segments, and above it sits the active one.
+
+constexpr std::uint64_t kPinSegmentFrames = 8;
+constexpr std::size_t kPinCut = 150;
+
+Daemon::Options pin_options(const std::string& dir, bool resume) {
+  Daemon::Options o;
+  o.wal_path = dir + "/live.wal";
+  o.decisions_path = dir + "/live.decisions";
+  o.resume = resume;
+  o.durable = false;
+  o.segment_frames = kPinSegmentFrames;
+  o.snapshot_path = dir + "/ctrl.snap";
+  o.snapshot_every_frames = 20;
+  o.retain_segments = true;
+  return o;
+}
+
+std::vector<Frame> pin_stream() {
+  ChurnOptions churn;
+  churn.agents = 4;
+  churn.initial_vms = 24;
+  churn.ticks = 24;
+  churn.arrivals_per_tick = 2.0;
+  churn.departure_prob = 0.05;
+  churn.blackout_prob = 0.0;
+  churn.mean_host_fraction = 0.3;
+  churn.seed = 17;
+  return generate_churn(churn, ControllerConfig{});
+}
+
+std::size_t segment_of(std::uint64_t ordinal) {
+  return static_cast<std::size_t>(ordinal / kPinSegmentFrames) + 1;
+}
+
+void xor_byte(const std::string& path, std::size_t offset, std::uint8_t mask) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(static_cast<std::streamoff>(offset));
+  const auto byte = static_cast<std::uint8_t>(f.get());
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(static_cast<char>(byte ^ mask));
+}
+
+void flip_middle_bit(const std::string& path) {
+  xor_byte(path, static_cast<std::size_t>(fs::file_size(path) / 2), 0x10);
+}
+
+/// Surviving chain files: how many, and the highest index with its size.
+std::string chain_files(const std::string& wal) {
+  std::size_t count = 0;
+  std::string last = "none";
+  for (std::size_t i = 1; i <= 64; ++i) {
+    const std::string seg = segment_path(wal, i);
+    if (!fs::exists(seg)) continue;
+    ++count;
+    last = std::to_string(i) + ":" + std::to_string(fs::file_size(seg));
+  }
+  return std::to_string(count) + " files, last " + last;
+}
+
+TEST(ChainValidation, DamagedChainResumesMatchTheirPins) {
+  const std::string dir = temp_dir("vmcw_rec_chainpins");
+  const auto frames = pin_stream();
+  ASSERT_GT(frames.size(), kPinCut + 20);
+  const std::string base = dir + "/base";
+  fs::create_directories(base);
+  {
+    Daemon daemon(ControllerConfig{}, pin_options(base, false));
+    daemon.open();
+    feed(daemon, frames, 0, kPinCut);
+    daemon.close();
+  }
+  SnapshotData snap;
+  ASSERT_EQ(read_snapshot(base + "/ctrl.snap", fleet_hash(), snap),
+            SnapshotStatus::kOk);
+  const std::size_t boundary = segment_of(snap.frames_covered);
+  const std::size_t active = segment_of(kPinCut - 1);
+  ASSERT_EQ(snap.frames_covered, 140u);
+  ASSERT_EQ(boundary, 18u);  // holds [136, 144): the boundary is inside
+  ASSERT_EQ(active, 19u);
+
+  const auto seg = [](const std::string& d, std::size_t i) {
+    return segment_path(d + "/live.wal", i);
+  };
+  struct Case {
+    const char* name;
+    std::function<void(const std::string&)> damage;
+    const char* files;
+    bool snapshot_loaded;
+    std::size_t frames_recovered;
+    std::size_t batches_recovered;
+    bool wal_stale;
+    std::size_t wal_frames;
+    std::uint64_t decisions;
+  };
+  const Case cases[] = {
+      {"intact", [](const std::string&) {}, "19 files, last 19:908", true, 10,
+       13, false, 10, 0x75f5f1a78c383c77ULL},
+      {"flip_below_snapshot",
+       [&](const std::string& d) { flip_middle_bit(seg(d, 5)); },
+       "5 files, last 5:337", false, 35, 13, false, 35, 0x1016492181cd34a3ULL},
+      {"flip_boundary_segment",
+       [&](const std::string& d) { flip_middle_bit(seg(d, boundary)); },
+       "18 files, last 18:380", false, 139, 13, false, 139,
+       0x2f9b9d7e2dbaf5ccULL},
+      {"flip_active_segment",
+       [&](const std::string& d) { flip_middle_bit(seg(d, active)); },
+       "19 files, last 19:442", true, 8, 13, false, 8, 0x75f5f1a78c383c77ULL},
+      {"truncated_sealed_segment",
+       [&](const std::string& d) {
+         fs::resize_file(seg(d, 10), fs::file_size(seg(d, 10)) - 5);
+       },
+       "10 files, last 10:976", false, 79, 13, false, 79,
+       0x12b10fc967ea134fULL},
+      {"base_ordinal_gap",
+       [&](const std::string& d) { xor_byte(seg(d, 12), 20, 0x01); },
+       "11 files, last 11:964", false, 88, 13, false, 88,
+       0x761b694c35d445faULL},
+      {"foreign_fleet_later_segment",
+       [&](const std::string& d) { xor_byte(seg(d, 12), 12, 0x5a); },
+       "11 files, last 11:964", false, 88, 13, false, 88,
+       0x761b694c35d445faULL},
+      {"snapshot_past_chain_end",
+       [&](const std::string& d) {
+         fs::remove(seg(d, active));
+         fs::remove(seg(d, boundary));
+       },
+       "17 files, last 17:1081", false, 136, 13, false, 136,
+       0x4e79bc6a063fdb4eULL},
+      {"snapshot_fails_restore",
+       [&](const std::string& d) {
+         SnapshotData bad = snap;
+         bad.controller_state.resize(bad.controller_state.size() / 2);
+         ASSERT_TRUE(write_snapshot(d + "/ctrl.snap", fleet_hash(), bad));
+       },
+       "19 files, last 19:908", false, 150, 13, false, 150,
+       0x75f5f1a78c383c77ULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string copy = dir + "/" + c.name;
+    fs::create_directories(copy);
+    for (const auto& entry : fs::directory_iterator(base))
+      fs::copy_file(entry.path(), fs::path(copy) / entry.path().filename());
+    c.damage(copy);
+
+    Daemon daemon(ControllerConfig{}, pin_options(copy, true));
+    const Daemon::OpenResult opened = daemon.open();
+    EXPECT_EQ(chain_files(copy + "/live.wal"), c.files);
+    EXPECT_EQ(opened.snapshot_loaded, c.snapshot_loaded);
+    EXPECT_EQ(opened.frames_recovered, c.frames_recovered);
+    EXPECT_EQ(opened.batches_recovered, c.batches_recovered);
+    EXPECT_EQ(opened.wal_stale, c.wal_stale);
+    EXPECT_EQ(opened.wal_frames.size(), c.wal_frames);
+    feed(daemon, frames, kPinCut, frames.size());
+    daemon.close();
+    const std::string log = file_bytes(copy + "/live.decisions");
+    EXPECT_EQ(wire::fnv1a64(reinterpret_cast<const std::uint8_t*>(log.data()),
+                            log.size()),
+              c.decisions);
+  }
 }
 
 // --------------------------------------------------- batched WAL writes
