@@ -27,13 +27,6 @@ void count_batch(DaemonStats& stats, const DecisionBatchFrame& batch) {
   }
 }
 
-std::size_t count_batches(const std::vector<Frame>& frames) {
-  std::size_t n = 0;
-  for (const Frame& frame : frames)
-    if (std::holds_alternative<DecisionBatchFrame>(frame)) ++n;
-  return n;
-}
-
 }  // namespace
 
 Daemon::Daemon(ControllerConfig config, Options options)
@@ -50,66 +43,68 @@ Daemon::OpenResult Daemon::open() {
   // stream. Remove it with the stream it described.
   if (!options_.resume && !options_.snapshot_path.empty())
     std::remove(options_.snapshot_path.c_str());
+  // Read the snapshot first: the WAL scan then keeps only the frames past
+  // its coverage, the ones this restart re-applies. Frames below it are
+  // still checksummed and parsed, so the chain is validated the same way.
+  SnapshotData snap;
+  const bool have_snapshot =
+      options_.resume && !options_.snapshot_path.empty() &&
+      read_snapshot(options_.snapshot_path, fleet_hash_, snap) ==
+          SnapshotStatus::kOk;
   SegmentedFrameLog::Recovery wal = wal_.open(
-      options_.wal_path, fleet_hash_, options_.resume, options_.segment_frames);
-  const FrameLog::Recovery decisions =
-      decisions_.open(options_.decisions_path, fleet_hash_, options_.resume);
+      options_.wal_path, fleet_hash_, options_.resume, options_.segment_frames,
+      have_snapshot ? snap.frames_covered : 0);
+  // The decision log holds only DecisionBatch frames: its frame count is
+  // the number of batches already durable.
+  const FrameLog::Recovery decisions = decisions_.open(
+      options_.decisions_path, fleet_hash_, options_.resume, 1, 0,
+      kKeepNoFrames);
   result.wal_stale = wal.stale;
   result.decisions_stale = decisions.stale;
-  result.batches_recovered = count_batches(decisions.frames);
+  result.batches_recovered = static_cast<std::size_t>(decisions.frame_count);
 
-  // Try the snapshot. A snapshot is usable only if its coverage sits
-  // inside what the WAL chain still holds (a snapshot past the chain's end
-  // references reclaimed-or-missing segments; one below the chain's base
-  // cannot bridge the reclaimed prefix either way) and its controller
-  // bytes restore cleanly. Anything else falls back to a full replay —
-  // which requires the chain to still start at frame zero.
-  std::uint64_t suffix_start = wal.base_ordinal;  // ordinal of wal.frames[0]
+  // Use the snapshot only if its coverage sits inside what the WAL chain
+  // still holds (a snapshot past the chain's end references
+  // reclaimed-or-missing segments; one below the chain's base cannot
+  // bridge the reclaimed prefix either way) and its controller bytes
+  // restore cleanly. Anything else falls back to a full replay — which
+  // requires the chain to still start at frame zero.
   batches_skipped_ = result.batches_recovered;
   frames_applied_ = wal.base_ordinal;
   batches_total_ = 0;
-  if (options_.resume && !options_.snapshot_path.empty()) {
-    SnapshotData snap;
-    const SnapshotStatus status =
-        read_snapshot(options_.snapshot_path, fleet_hash_, snap);
-    const bool coverage_ok =
-        status == SnapshotStatus::kOk &&
-        snap.frames_covered >= wal.base_ordinal &&
-        snap.frames_covered <= wal.base_ordinal + wal.frames.size() &&
-        snap.batches_emitted <= result.batches_recovered;
-    if (coverage_ok) {
-      wire::ByteReader r(snap.controller_state.data(),
-                         snap.controller_state.size());
-      try {
-        controller_.restore_state(r);
-        result.snapshot_loaded = true;
-        result.snapshot_frames = snap.frames_covered;
-        result.ack_marks = std::move(snap.ack_marks);
-        suffix_start = snap.frames_covered;
-        frames_applied_ = snap.frames_covered;
-        batches_total_ = snap.batches_emitted;
-        shutdowns_applied_ = snap.shutdowns_covered;
-        batches_skipped_ = result.batches_recovered -
-                           static_cast<std::size_t>(snap.batches_emitted);
-      } catch (const std::exception&) {
-        // restore_state left the controller empty; full replay below.
-      }
+  if (have_snapshot && snap.frames_covered >= wal.base_ordinal &&
+      snap.frames_covered <= wal.base_ordinal + wal.frame_count &&
+      snap.batches_emitted <= result.batches_recovered) {
+    wire::ByteReader r(snap.controller_state.data(),
+                       snap.controller_state.size());
+    try {
+      controller_.restore_state(r);
+      result.snapshot_loaded = true;
+      result.snapshot_frames = snap.frames_covered;
+      result.ack_marks = std::move(snap.ack_marks);
+      frames_applied_ = snap.frames_covered;
+      batches_total_ = snap.batches_emitted;
+      shutdowns_applied_ = snap.shutdowns_covered;
+      batches_skipped_ = result.batches_recovered -
+                         static_cast<std::size_t>(snap.batches_emitted);
+    } catch (const std::exception&) {
+      // restore_state left the controller empty; full replay below.
     }
   }
   if (!result.snapshot_loaded && wal.base_ordinal > 0)
     throw std::runtime_error(
         "Daemon: WAL head was reclaimed and no usable snapshot covers it");
+  // The snapshot was rejected after the scan dropped the frames it
+  // covered; the full replay needs them back.
+  if (!result.snapshot_loaded && wal.frames.size() < wal.frame_count)
+    wal = wal_.open(options_.wal_path, fleet_hash_, /*resume=*/true,
+                    options_.segment_frames);
 
-  // Re-apply the recovered suffix, recomputing every decision batch but
-  // appending only the ones the crash lost: the resumed decision log is
-  // byte-identical to an uninterrupted run.
-  const std::size_t skip =
-      static_cast<std::size_t>(suffix_start - wal.base_ordinal);
-  for (std::size_t i = skip; i < wal.frames.size(); ++i)
-    apply(wal.frames[i], /*emit=*/true);
-  result.frames_recovered = wal.frames.size() - skip;
-  wal.frames.erase(wal.frames.begin(),
-                   wal.frames.begin() + static_cast<std::ptrdiff_t>(skip));
+  // Re-apply the recovered suffix — every frame the scan kept — recomputing
+  // every decision batch but appending only the ones the crash lost: the
+  // resumed decision log is byte-identical to an uninterrupted run.
+  for (const Frame& frame : wal.frames) apply(frame, /*emit=*/true);
+  result.frames_recovered = wal.frames.size();
   result.wal_frames = std::move(wal.frames);
   result.shutdowns_recovered = shutdowns_applied_;
   last_snapshot_frames_ = frames_applied_;
@@ -204,8 +199,8 @@ DaemonStats replay_wal(const std::string& wal_path,
   IncrementalController controller(config);
   FrameLog decisions;
   const FrameLog::Recovery recovered =
-      decisions.open(decisions_path, fleet_hash, resume);
-  std::size_t skip = count_batches(recovered.frames);
+      decisions.open(decisions_path, fleet_hash, resume, 1, 0, kKeepNoFrames);
+  auto skip = static_cast<std::size_t>(recovered.frame_count);
 
   DaemonStats stats;
   for (const Frame& frame : wal.frames) {

@@ -300,13 +300,18 @@ DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size) {
   const std::uint8_t* body = data + kFrameHeaderSize;
   if (fnv1a64(body, length) != checksum)
     throw std::runtime_error("protocol: frame checksum mismatch");
+  return {decode_frame_payload(static_cast<FrameKind>(raw_kind), body,
+                               static_cast<std::size_t>(length)),
+          kFrameHeaderSize + static_cast<std::size_t>(length)};
+}
 
-  ByteReader reader(body, static_cast<std::size_t>(length));
-  DecodedFrame decoded{decode_payload(static_cast<FrameKind>(raw_kind), reader),
-                       kFrameHeaderSize + static_cast<std::size_t>(length)};
+Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
+                           std::size_t length) {
+  ByteReader reader(payload, length);
+  Frame frame = decode_payload(kind, reader);
   if (!reader.exhausted())
     throw std::runtime_error("protocol: trailing payload bytes");
-  return decoded;
+  return frame;
 }
 
 std::vector<Frame> decode_frames(const std::vector<std::uint8_t>& bytes) {

@@ -222,6 +222,14 @@ struct DecodedFrame {
 /// as a torn or corrupt frame.
 DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size);
 
+/// The payload half of decode_frame: parse `length` payload bytes of a
+/// frame of `kind` whose header and checksum the caller has already
+/// checked. The WAL scan (service/telemetry_log) verifies a batch of
+/// checksums at once and then decodes each payload here. Throws on an
+/// unknown kind, a malformed payload or trailing bytes.
+Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
+                           std::size_t length);
+
 /// Decode a whole buffer of concatenated frames; throws on the first bad
 /// frame (use decode_frame directly to salvage an intact prefix).
 std::vector<Frame> decode_frames(const std::vector<std::uint8_t>& bytes);

@@ -25,9 +25,17 @@
 // validated by base continuity at open, segments older than the newest
 // durable snapshot are reclaimable (service/snapshot, DESIGN.md §9), and a
 // torn tail is still confined to the newest segment.
+//
+// Reading a log checks every byte once: the scan walks a batch of frame
+// headers, verifies the batch's payload checksums in interleaved FNV-1a
+// lanes, then parses each payload. It keeps exactly the frames a
+// decode_frame loop would, but stores only those at or past the caller's
+// `keep_from` ordinal; a resuming daemon passes its snapshot's coverage, so
+// frames the snapshot already holds are validated and then dropped.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,13 +76,12 @@ class FrameLog {
  public:
   /// What open() recovered from an existing log.
   struct Recovery {
-    std::vector<Frame> frames;  ///< intact frames, in append order
+    /// Intact frames at ordinals >= keep_from, in append order.
+    std::vector<Frame> frames;
+    std::uint64_t frame_count = 0;  ///< intact frames, kept or not
     bool stale = false;         ///< existing log was for a different fleet
     bool torn_tail = false;     ///< trailing partial/corrupt frame dropped
     std::size_t bytes_discarded = 0;  ///< size of the discarded tail
-    /// FNV-1a 64 over the valid byte range (header + intact frames) as
-    /// recovered; replaying these bytes reproduces the stream exactly.
-    std::uint64_t content_hash = 0;
   };
 
   FrameLog() = default;
@@ -90,10 +97,12 @@ class FrameLog {
   /// when the path cannot be created at all. `version` selects the header
   /// layout: 1 is the standalone single-file WAL; 2 stamps `base_ordinal`
   /// (the global index of the file's first frame) for segment-chain files
-  /// — SegmentedFrameLog is the only caller that passes 2.
+  /// — SegmentedFrameLog is the only caller that passes 2. Every intact
+  /// frame is checksummed and parsed, but only those whose ordinal
+  /// (base_ordinal + index) is at least `keep_from` are returned.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
-                std::uint32_t version = 1, std::uint64_t base_ordinal = 0)
-      VMCW_EXCLUDES(mutex_);
+                std::uint32_t version = 1, std::uint64_t base_ordinal = 0,
+                std::uint64_t keep_from = 0) VMCW_EXCLUDES(mutex_);
 
   bool is_open() const VMCW_EXCLUDES(mutex_) {
     MutexLock lk(mutex_);
@@ -129,6 +138,24 @@ class FrameLog {
   }
 
  private:
+  friend class SegmentedFrameLog;
+
+  /// Reopen for append a log file whose intact prefix [0, valid_end) of
+  /// `size` bytes the caller has just scanned, so it is not read again:
+  /// the torn tail past valid_end, if any, is truncated away. Returns false
+  /// when the tail cannot be trimmed; the file is then rewritten empty
+  /// under a fresh header, as open() does.
+  bool reopen_scanned(const std::string& path, std::uint64_t fleet_hash,
+                      std::uint32_t version, std::uint64_t base_ordinal,
+                      std::size_t valid_end, std::size_t size)
+      VMCW_EXCLUDES(mutex_);
+
+  void open_fd_locked(const std::string& path) VMCW_REQUIRES(mutex_);
+  bool trim_locked(std::size_t valid_end, std::size_t size)
+      VMCW_REQUIRES(mutex_);
+  void rewrite_locked(const std::string& path, std::uint64_t fleet_hash,
+                      std::uint32_t version, std::uint64_t base_ordinal)
+      VMCW_REQUIRES(mutex_);
   void close_locked() VMCW_REQUIRES(mutex_);
   void sync_locked() VMCW_REQUIRES(mutex_);
 
@@ -148,9 +175,33 @@ struct WalContents {
   std::uint64_t base_ordinal = 0;
   std::vector<Frame> frames;  ///< intact frames, in append order
   bool torn_tail = false;     ///< file ends in a partial/corrupt frame
-  /// FNV-1a 64 over the valid byte range (header + intact frames).
-  std::uint64_t content_hash = 0;
 };
+
+/// `keep_from` that stores no frames: the caller wants only the counts.
+inline constexpr std::uint64_t kKeepNoFrames =
+    std::numeric_limits<std::uint64_t>::max();
+
+/// One frame's place in a byte image, as its header declares it.
+struct FrameExtent {
+  FrameKind kind = FrameKind::kHello;
+  const std::uint8_t* payload = nullptr;
+  std::uint64_t length = 0;    ///< payload bytes
+  std::uint64_t checksum = 0;  ///< FNV-1a 64 the header declares
+};
+
+/// Append to `out` the extents of up to `max_frames` frames from the front
+/// of [data, data+size), stopping before the first whose kind is unknown
+/// or whose payload runs past the buffer (a torn frame). Payloads are not
+/// looked at.
+void walk_frame_extents(const std::uint8_t* data, std::size_t size,
+                        std::size_t max_frames, std::vector<FrameExtent>& out);
+
+/// Index of the first extent whose payload does not hash to its checksum,
+/// or extents.size() when all match — the same answer as a serial
+/// wire::fnv1a64 loop. The hashes run in four interleaved FNV-1a chains,
+/// one frame per chain, so one frame's multiplies overlap another's
+/// instead of each byte waiting on the last.
+std::size_t first_checksum_mismatch(const std::vector<FrameExtent>& extents);
 
 /// Read a frame WAL read-only. Throws std::runtime_error when the file
 /// cannot be read or its header is not a frame WAL; a torn tail is not an
@@ -186,18 +237,27 @@ std::string segment_path(const std::string& path, std::size_t index);
 class SegmentedFrameLog {
  public:
   struct Recovery {
-    std::vector<Frame> frames;  ///< intact frames across the kept chain
+    /// Intact frames across the kept chain at ordinals >= keep_from.
+    std::vector<Frame> frames;
+    /// Intact frames across the kept chain, kept or not: the chain ends
+    /// at ordinal base_ordinal + frame_count.
+    std::uint64_t frame_count = 0;
     bool stale = false;         ///< existing chain was for a different fleet
     bool torn_tail = false;     ///< trailing partial/corrupt frame dropped
-    /// Global ordinal of frames[0]; > 0 when pre-snapshot segments were
-    /// reclaimed before the crash (the caller needs a snapshot covering at
-    /// least this many frames, or recovery must refuse).
+    /// Global ordinal of the chain's first frame; > 0 when pre-snapshot
+    /// segments were reclaimed before the crash (the caller needs a
+    /// snapshot covering at least this many frames, or recovery must
+    /// refuse).
     std::uint64_t base_ordinal = 0;
     std::size_t segments = 0;  ///< segment files kept (0 in legacy mode)
   };
 
+  /// Open the chain at `path`, recovering it with `resume`. Each segment
+  /// file is read once; every intact frame is checksummed and parsed, so
+  /// chain validation, unlinks and torn-tail truncation do not depend on
+  /// `keep_from`, but only frames at ordinals >= keep_from are returned.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
-                std::uint64_t segment_frames);
+                std::uint64_t segment_frames, std::uint64_t keep_from = 0);
 
   /// Append one frame, rotating first when the active segment is full.
   void append(const Frame& frame, bool sync = true);

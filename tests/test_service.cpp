@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -24,6 +25,7 @@
 #include "test_helpers.h"
 #include "trace/generator.h"
 #include "trace/presets.h"
+#include "util/rng.h"
 
 namespace vmcw::service {
 namespace {
@@ -225,7 +227,111 @@ TEST(FrameLog, ReadMatchesRecovery) {
   const auto recovery =
       log.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/true);
   EXPECT_EQ(recovery.frames, frames);
-  EXPECT_EQ(recovery.content_hash, contents.content_hash);
+}
+
+// --------------------------------------------------- batched checksums
+
+/// Raw frames with random payloads (the checksum pass never parses them);
+/// `length_of` draws each payload length.
+std::vector<std::uint8_t> random_frames(
+    Rng& rng, std::size_t count,
+    const std::function<std::size_t()>& length_of) {
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<std::uint8_t> payload(length_of());
+    for (std::uint8_t& b : payload)
+      b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    wire::ByteWriter header;
+    header.u8(static_cast<std::uint8_t>(rng.uniform_int(1, 10)));
+    header.u64(payload.size());
+    header.u64(wire::fnv1a64(payload.data(), payload.size()));
+    bytes.insert(bytes.end(), header.bytes().begin(), header.bytes().end());
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+  }
+  return bytes;
+}
+
+/// Reference: index of the first frame whose header or checksum is bad,
+/// one frame at a time with a serial wire::fnv1a64 per payload.
+std::size_t serial_first_bad(const std::vector<std::uint8_t>& bytes) {
+  std::size_t off = 0;
+  std::size_t index = 0;
+  while (bytes.size() - off >= kFrameHeaderSize) {
+    const std::uint8_t* header = bytes.data() + off;
+    const std::uint64_t length = wire::load_u64(header + 1);
+    if (header[0] < 1 || header[0] > 10 ||
+        bytes.size() - off - kFrameHeaderSize < length ||
+        wire::fnv1a64(header + kFrameHeaderSize, length) !=
+            wire::load_u64(header + 9))
+      break;
+    off += kFrameHeaderSize + length;
+    ++index;
+  }
+  return index;
+}
+
+std::size_t batched_first_bad(const std::vector<std::uint8_t>& bytes) {
+  std::vector<FrameExtent> extents;
+  walk_frame_extents(bytes.data(), bytes.size(), bytes.size(), extents);
+  return first_checksum_mismatch(extents);
+}
+
+/// Byte offsets of each frame's start in a well-formed image.
+std::vector<std::size_t> frame_offsets(const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t off = 0; off < bytes.size();
+       off += kFrameHeaderSize + wire::load_u64(bytes.data() + off + 1))
+    offsets.push_back(off);
+  return offsets;
+}
+
+TEST(ChecksumKernel, FindsTheSameFirstBadFrameAsASerialLoop) {
+  Rng rng(0xc0ffee);
+  const std::function<std::size_t()> mixes[] = {
+      // Mostly empty payloads: lanes finish the moment they take a frame.
+      [&] { return std::size_t{rng.uniform() < 0.75 ? 0u : 5u}; },
+      // daemon_uptime's bimodal mix of ~100 B and ~900 B frames.
+      [&] {
+        return static_cast<std::size_t>(rng.uniform() < 0.8 ? 100 : 900) +
+               static_cast<std::size_t>(rng.uniform_int(0, 16));
+      },
+      [&] { return static_cast<std::size_t>(rng.uniform_int(0, 300)); },
+  };
+  for (const auto& mix : mixes) {
+    for (std::size_t count = 0; count <= 13; ++count) {
+      const std::vector<std::uint8_t> good = random_frames(rng, count, mix);
+      ASSERT_EQ(serial_first_bad(good), count);
+      EXPECT_EQ(batched_first_bad(good), count);
+      const std::vector<std::size_t> offsets = frame_offsets(good);
+      ASSERT_EQ(offsets.size(), count);
+      // A bad frame at every position: every lane, then the serial tail.
+      for (std::size_t bad = 0; bad < count; ++bad) {
+        std::vector<std::uint8_t> bytes = good;
+        const std::size_t length = static_cast<std::size_t>(
+            wire::load_u64(bytes.data() + offsets[bad] + 1));
+        // Flip a payload bit, or the checksum itself for an empty payload.
+        const std::size_t at =
+            length > 0 ? offsets[bad] + kFrameHeaderSize +
+                             static_cast<std::size_t>(
+                                 rng.uniform_int(0, static_cast<std::int64_t>(
+                                                        length - 1)))
+                       : offsets[bad] + 9;
+        bytes[at] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(0, 7));
+        EXPECT_EQ(serial_first_bad(bytes), bad);
+        EXPECT_EQ(batched_first_bad(bytes), bad)
+            << "count " << count << ", bad " << bad;
+      }
+      // A torn final extent: the image ends partway through the last frame.
+      if (count > 0) {
+        for (const std::size_t cut : {std::size_t{1}, kFrameHeaderSize + 1}) {
+          if (cut > good.size() - offsets.back()) continue;
+          std::vector<std::uint8_t> torn(good.begin(), good.end() - cut);
+          EXPECT_EQ(serial_first_bad(torn), count - 1);
+          EXPECT_EQ(batched_first_bad(torn), count - 1);
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- determinism
