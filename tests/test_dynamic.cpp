@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "core/host_pool.h"
+#include "core/hybrid.h"
 #include "core/predictor.h"
 #include "test_helpers.h"
+#include "topology/failure_domains.h"
+#include "topology/spread.h"
 
 namespace vmcw {
 namespace {
@@ -158,6 +164,163 @@ TEST_P(UtilizationBoundSweep, TighterBoundNeverNeedsFewerHosts) {
 
 INSTANTIATE_TEST_SUITE_P(Bounds, UtilizationBoundSweep,
                          ::testing::Values(0.5, 0.6, 0.7, 0.8, 0.9));
+
+// FNV-1a over little-endian integers: pins whole placement schedules in
+// one number.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (value >> (8 * i)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+std::uint64_t schedule_hash(const std::vector<Placement>& per_interval) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& p : per_interval)
+    for (std::size_t vm = 0; vm < p.vm_count(); ++vm)
+      h = fnv1a(h, static_cast<std::uint32_t>(p.host_of(vm)), 4);
+  return h;
+}
+
+std::uint64_t counts_hash(const std::vector<std::size_t>& counts) {
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t c : counts) h = fnv1a(h, c, 8);
+  return h;
+}
+
+std::vector<VmWorkload> preset_fleet(WorkloadSpec spec) {
+  return to_vm_workloads(generate_datacenter(
+      scaled_down(std::move(spec), 120, kHoursPerMonth), kStudySeed));
+}
+
+struct PlanPin {
+  std::uint64_t placements;  ///< schedule_hash over every interval
+  std::uint64_t migrations;  ///< counts_hash of the migrations vector
+  std::size_t total_migrations;
+  std::size_t max_active_hosts;
+};
+
+void expect_pin(const DynamicPlan& plan, const PlanPin& pin,
+                const char* label) {
+  EXPECT_EQ(schedule_hash(plan.per_interval), pin.placements) << label;
+  EXPECT_EQ(counts_hash(plan.migrations), pin.migrations) << label;
+  EXPECT_EQ(plan.total_migrations, pin.total_migrations) << label;
+  EXPECT_EQ(plan.max_active_hosts, pin.max_active_hosts) << label;
+}
+
+// Golden pins of whole month-long schedules (168 intervals) on the four
+// Table-2 presets scaled to 120 servers, plus a constrained estate whose
+// drain trials are rejected by allowed_on and rolled back. Any change to
+// host order, tie-breaking or rollback shows up here.
+TEST(DynamicPlanner, GoldenPlacementPins) {
+  const StudySettings settings;
+  const struct {
+    WorkloadSpec spec;
+    PlanPin pin;
+  } presets[] = {
+      {banking_spec(),
+       {8769682941088689060ULL, 2699897455189604721ULL, 2662, 6}},
+      {airlines_spec(),
+       {1471444317895829724ULL, 12416527587091827890ULL, 139, 19}},
+      {natural_resources_spec(),
+       {7384401554651442173ULL, 235630472376723515ULL, 908, 14}},
+      {beverage_spec(),
+       {13941094858484059973ULL, 4790565719571899475ULL, 1242, 6}},
+  };
+  for (const auto& preset : presets) {
+    const auto vms = preset_fleet(preset.spec);
+    const auto plan = plan_dynamic(vms, settings);
+    ASSERT_TRUE(plan.has_value()) << preset.spec.name;
+    expect_pin(*plan, preset.pin, preset.spec.name.c_str());
+  }
+
+  // Constrained estate: affinity groups, a pinned VM, anti-affinity pairs
+  // and rack spread of every application over small racks.
+  const auto vms = preset_fleet(natural_resources_spec());
+  ConstraintSet cs(vms.size());
+  cs.add_affinity(2, 3);
+  cs.add_affinity(3, 4);
+  cs.add_affinity(10, 11);
+  cs.pin(0, 0);
+  cs.add_anti_affinity(5, 6);
+  cs.add_anti_affinity(7, 8);
+  cs.add_anti_affinity(20, 21);
+  const auto map = FailureDomainMap::generate(
+      HostPool::uniform(settings.target), vms.size(),
+      TopologySpec{.hosts_per_rack = 4, .racks_per_power_domain = 2},
+      kStudySeed);
+  spread_across_domains(cs, app_replica_groups(vms), map, DomainKind::kRack,
+                        3);
+  ASSERT_FALSE(cs.spread_rules().empty());
+  const auto plan = plan_dynamic(vms, settings, cs);
+  ASSERT_TRUE(plan.has_value());
+  expect_pin(*plan, {10123193729305138312ULL, 744528004265026439ULL, 846, 15},
+             "constrained");
+
+  // Hybrid: the dynamic block plans through plan_dynamic.
+  const auto hybrid = plan_hybrid(vms, settings, 0.25);
+  ASSERT_TRUE(hybrid.has_value());
+  EXPECT_EQ(schedule_hash(hybrid->per_interval), 11032286024967580646ULL);
+  EXPECT_EQ(hybrid->total_migrations, 9u);
+  EXPECT_EQ(hybrid->stochastic_hosts, 8u);
+  EXPECT_EQ(hybrid->max_dynamic_hosts, 4u);
+}
+
+// Hosts with identical loads. FFD puts X and Y (anti-affine, equal size)
+// alone on hosts 0 and 1 and W on host 2; P, T1 and T2 (equal size) are
+// pinned to hosts 3, 5 and 6. W, X and Y may not share a host with each
+// other; W also not with P, X and Y not with T1 or T2. Consolidation walks
+// ascending load:
+//   - W (lightest) goes to the most-loaded host that takes it; of the equal
+//     hosts 3, 5 and 6 it may not join P, and first-fit picks host 5 over
+//     host 6 (lowest index).
+//   - Hosts 0 and 1 tie; the highest index is tried first, so Y moves to
+//     host 3, the only host it may join. X then fits nowhere and stays.
+// Either tie broken the other way ends with X on host 3 and W on host 6.
+TEST(DynamicPlanner, EqualLoadHostsResolveByIndex) {
+  const auto settings = small_settings();
+  const ResourceVector cap =
+      settings.capacity(settings.dynamic_utilization_bound);
+  const double margin = PeakPredictor::Options{}.cpu_safety_margin;
+  const std::size_t hours = settings.eval_end();
+  const auto vm = [&](const char* id, double share) {
+    return constant_vm(id, share * cap.cpu_rpe2 / margin, 1024.0, hours);
+  };
+  const std::vector<VmWorkload> vms = {vm("X", 0.3),  vm("Y", 0.3),
+                                       vm("W", 0.1),  vm("P", 0.5),
+                                       vm("T1", 0.5), vm("T2", 0.5)};
+  enum : std::size_t { X, Y, W, P, T1, T2 };
+  ConstraintSet cs(vms.size());
+  cs.add_anti_affinity(X, Y);
+  cs.add_anti_affinity(W, X);
+  cs.add_anti_affinity(W, Y);
+  cs.add_anti_affinity(W, P);
+  for (std::size_t pinned : {T1, T2}) {
+    cs.add_anti_affinity(X, pinned);
+    cs.add_anti_affinity(Y, pinned);
+  }
+  cs.pin(P, 3);
+  cs.pin(T1, 5);
+  cs.pin(T2, 6);
+  const auto plan = plan_dynamic(vms, settings, cs);
+  ASSERT_TRUE(plan.has_value());
+
+  const auto hosts = [](const Placement& p) {
+    std::vector<std::int32_t> out;
+    for (std::size_t v = 0; v < p.vm_count(); ++v) out.push_back(p.host_of(v));
+    return out;
+  };
+  EXPECT_EQ(hosts(plan->per_interval[0]),
+            (std::vector<std::int32_t>{0, 1, 2, 3, 5, 6}));
+  EXPECT_EQ(hosts(plan->per_interval[1]),
+            (std::vector<std::int32_t>{0, 3, 5, 3, 5, 6}));
+  EXPECT_EQ(hosts(plan->per_interval.back()),
+            (std::vector<std::int32_t>{0, 3, 5, 3, 5, 6}));
+  EXPECT_EQ(plan->migrations[1], 2u);
+  EXPECT_EQ(plan->total_migrations, 2u);
+}
 
 }  // namespace
 }  // namespace vmcw
