@@ -1,6 +1,13 @@
 // Figure 7 — infrastructure cost comparison: space & hardware cost and
 // power cost of the three consolidation approaches, normalized to vanilla
 // Semi-Static, for all four data centers.
+//
+// Besides the figure on stdout it writes BENCH_fig07_infra_cost.json:
+// studies per second, dynamic_plan_seconds (the summed study.dynamic_seconds
+// spans: dynamic planning plus the emulation of its schedule, the critical
+// path of every study) and hosts_used (provisioned hosts summed over
+// estates and planners), a structural key the perf gate (tools/bench_gate)
+// matches exactly before comparing times.
 
 #include <cstdio>
 
@@ -12,7 +19,9 @@ int main(int argc, char** argv) {
   bench::print_header("Figure 7", "Infrastructure Cost Comparison "
                                   "(normalized to vanilla Semi-Static)");
   const auto fleets = bench::make_fleets(argc, argv);
+  const bench::WallTimer timer;
   const auto studies = bench::run_all_studies(fleets);
+  const double wall = timer.seconds();
 
   std::printf("\n(a) space and hardware cost\n");
   TextTable space({"workload", "Semi-Static", "Stochastic", "Dynamic",
@@ -63,5 +72,17 @@ int main(int argc, char** argv) {
       "~50%% for Banking/Beverage but is muted for the memory-bound\n"
       "Airlines/Natural Resources. [29] reports >25%% of VMs migrating per\n"
       "interval.\n");
+
+  double hosts_used = 0;
+  for (const auto& study : studies)
+    for (const auto& result : study.results)
+      hosts_used += static_cast<double>(result.provisioned_hosts);
+  const double studies_run = static_cast<double>(studies.size());
+  bench::write_bench_json(
+      "fig07_infra_cost", wall, "studies_per_sec",
+      wall > 0 ? studies_run / wall : 0,
+      {{"dynamic_plan_seconds",
+        MetricsRegistry::global().histogram("study.dynamic_seconds").sum},
+       {"hosts_used", hosts_used}});
   return 0;
 }

@@ -80,7 +80,11 @@ void BM_DynamicPlan(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_DynamicPlan)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DynamicPlan)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(816)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Emulate(benchmark::State& state) {
   const auto& vms = fleet(static_cast<int>(state.range(0)));

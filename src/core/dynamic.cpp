@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/admission.h"
 #include "core/binpack.h"
@@ -14,9 +15,9 @@ namespace {
 /// placement and migration.
 class GroupModel {
  public:
-  GroupModel(std::span<const VmWorkload> vms, const ConstraintSet& constraints)
-      : vms_(vms), constraints_(constraints) {
-    groups_ = placement_groups(vms.size(), constraints);
+  GroupModel(std::size_t vm_count, const ConstraintSet& constraints)
+      : constraints_(constraints) {
+    groups_ = placement_groups(vm_count, constraints);
 
     pinned_.resize(groups_.size(), Placement::kUnplaced);
     for (std::size_t g = 0; g < groups_.size(); ++g)
@@ -32,25 +33,34 @@ class GroupModel {
   }
   std::int32_t pinned_host(std::size_t g) const { return pinned_[g]; }
 
-  ResourceVector predicted_size(std::size_t g, const PeakPredictor& predictor,
-                                std::size_t hour, std::size_t len) const {
-    ResourceVector size;
-    for (std::size_t vm : groups_[g])
-      size += predict_vm_demand(predictor, vms_[vm], hour, len);
-    return size;
-  }
-
   bool allowed_on(std::size_t g, std::int32_t host,
                   const Placement& placement) const {
     return constraints_.allows_group(groups_[g], host, placement);
   }
 
  private:
-  std::span<const VmWorkload> vms_;
   const ConstraintSet& constraints_;
   std::vector<std::vector<std::size_t>> groups_;
   std::vector<std::int32_t> pinned_;
 };
+
+/// Predicted size of every group in every interval: row k holds interval
+/// k's sizes, at [k * groups, (k + 1) * groups). Filled group by group so
+/// each VM's series stays in cache across all intervals; per entry the
+/// members are summed in the same order as a per-interval pass would.
+std::vector<ResourceVector> predicted_group_sizes(
+    std::span<const VmWorkload> vms, const GroupModel& model,
+    const PeakPredictor& predictor, const StudySettings& settings) {
+  const std::size_t groups = model.count();
+  const std::size_t len = settings.interval_hours;
+  std::vector<ResourceVector> sizes(settings.intervals() * groups);
+  for (std::size_t g = 0; g < groups; ++g)
+    for (std::size_t vm : model.members(g))
+      for (std::size_t k = 0; k < settings.intervals(); ++k)
+        sizes[k * groups + g] += predict_vm_demand(
+            predictor, vms[vm], settings.eval_begin() + k * len, len);
+  return sizes;
+}
 
 double normalized_load(const ResourceVector& load,
                        const ResourceVector& capacity) {
@@ -75,6 +85,7 @@ class IntervalAdapter {
     // first member; all members share a host by construction).
     host_groups_.resize(max_host_bound());
     host_load_.resize(host_groups_.size());
+    key_.resize(host_groups_.size());
     group_host_.resize(model.count(), Placement::kUnplaced);
     for (std::size_t g = 0; g < model.count(); ++g) {
       const std::size_t vm0 = model.members(g).front();
@@ -85,6 +96,12 @@ class IntervalAdapter {
         host_load_[static_cast<std::size_t>(h)] += sizes_[g];
       }
     }
+    for (std::size_t h = 0; h < host_groups_.size(); ++h) {
+      if (host_groups_[h].empty()) continue;
+      key_[h] = normalized_load(host_load_[h], capacity_);
+      by_load_.push_back(h);
+    }
+    std::sort(by_load_.begin(), by_load_.end(), load_order());
   }
 
   void adapt() {
@@ -96,6 +113,15 @@ class IntervalAdapter {
   Placement take_placement() { return std::move(placement_); }
 
  private:
+  static constexpr std::size_t kNoHost =
+      std::numeric_limits<std::size_t>::max();
+
+  /// One target of a drain trial and its load before the group arrived.
+  struct TrialMove {
+    std::size_t host;
+    ResourceVector load;
+  };
+
   std::size_t max_host_bound() const {
     std::size_t bound = placement_.host_index_bound();
     for (std::size_t g = 0; g < model_.count(); ++g) {
@@ -110,19 +136,58 @@ class IntervalAdapter {
     return (host_load_[host] + extra).fits_within(capacity_);
   }
 
+  /// by_load_'s order: normalized load descending, host index ascending
+  /// among equal loads.
+  struct LoadOrder {
+    const std::vector<double>& key;
+    bool operator()(std::size_t a, std::size_t b) const {
+      return key[a] > key[b] || (key[a] == key[b] && a < b);
+    }
+  };
+  LoadOrder load_order() const { return {key_}; }
+
+  /// Sort groups largest first (stable: equal sizes keep their order).
+  void largest_first(std::vector<std::size_t>& groups) const {
+    std::stable_sort(groups.begin(), groups.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return normalized_load(sizes_[a], capacity_) >
+                              normalized_load(sizes_[b], capacity_);
+                     });
+  }
+
+  /// Remove `host` from by_load_; key_[host] must be the key it was listed
+  /// under.
+  void unlist(std::size_t host) {
+    by_load_.erase(std::lower_bound(by_load_.begin(), by_load_.end(), host,
+                                    load_order()));
+  }
+
+  /// Key `host` by its current load and insert it into by_load_.
+  void enlist(std::size_t host) {
+    key_[host] = normalized_load(host_load_[host], capacity_);
+    by_load_.insert(std::lower_bound(by_load_.begin(), by_load_.end(), host,
+                                     load_order()),
+                    host);
+  }
+
   void detach(std::size_t g) {
     const std::int32_t h = group_host_[g];
     if (h == Placement::kUnplaced) return;
-    auto& list = host_groups_[static_cast<std::size_t>(h)];
+    const auto host = static_cast<std::size_t>(h);
+    unlist(host);
+    auto& list = host_groups_[host];
     list.erase(std::remove(list.begin(), list.end(), g), list.end());
-    host_load_[static_cast<std::size_t>(h)] -= sizes_[g];
+    host_load_[host] -= sizes_[g];
+    if (!list.empty()) enlist(host);
     group_host_[g] = Placement::kUnplaced;
     for (std::size_t vm : model_.members(g)) placement_.unassign(vm);
   }
 
   void attach(std::size_t g, std::size_t host) {
+    if (!host_groups_[host].empty()) unlist(host);
     host_groups_[host].push_back(g);
     host_load_[host] += sizes_[g];
+    enlist(host);
     group_host_[g] = static_cast<std::int32_t>(host);
     for (std::size_t vm : model_.members(g))
       placement_.assign(vm, static_cast<std::int32_t>(host));
@@ -133,7 +198,17 @@ class IntervalAdapter {
       if (host_groups_[h].empty()) return h;
     host_groups_.emplace_back();
     host_load_.emplace_back();
+    key_.emplace_back();
     return host_groups_.size() - 1;
+  }
+
+  /// The most-loaded active host other than `skip` that takes group `g`.
+  std::size_t first_fit(std::size_t g, std::size_t skip) const {
+    for (std::size_t host : by_load_)
+      if (host != skip && fits(host, sizes_[g]) &&
+          model_.allowed_on(g, static_cast<std::int32_t>(host), placement_))
+        return host;
+    return kNoHost;
   }
 
   /// Evict groups from hosts whose predicted load violates the bound.
@@ -174,60 +249,33 @@ class IntervalAdapter {
 
   /// First-fit pending groups onto the most-loaded feasible hosts.
   void place_pending() {
-    std::stable_sort(pending_.begin(), pending_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return normalized_load(sizes_[a], capacity_) >
-                              normalized_load(sizes_[b], capacity_);
-                     });
+    largest_first(pending_);
     for (std::size_t g : pending_) {
-      std::vector<std::size_t> hosts_by_load = active_hosts_desc();
-      bool placed = false;
-      for (std::size_t host : hosts_by_load) {
-        if (fits(host, sizes_[g]) &&
-            model_.allowed_on(g, static_cast<std::int32_t>(host),
-                              placement_)) {
-          attach(g, host);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        const std::size_t host = open_host();
-        attach(g, host);  // a fresh host always fits a single group
-      }
+      const std::size_t host = first_fit(g, kNoHost);
+      // A fresh host always fits a single group.
+      attach(g, host != kNoHost ? host : open_host());
     }
     pending_.clear();
   }
 
-  std::vector<std::size_t> active_hosts_desc() const {
-    std::vector<std::size_t> hosts;
-    for (std::size_t h = 0; h < host_groups_.size(); ++h)
-      if (!host_groups_[h].empty()) hosts.push_back(h);
-    std::stable_sort(hosts.begin(), hosts.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return normalized_load(host_load_[a], capacity_) >
-                              normalized_load(host_load_[b], capacity_);
-                     });
-    return hosts;
-  }
-
   /// Try to empty the most lightly loaded hosts entirely; commit only when
-  /// every group of the candidate host relocates.
+  /// every group of the candidate host relocates. Ascending load is the
+  /// reverse walk of by_load_ (equal loads: higher index first). A failed
+  /// trial leaves by_load_ exactly as it was, so the walk goes on by
+  /// position; a successful one changes the host set and restarts it.
   void consolidate() {
     bool progress = true;
     while (progress) {
       progress = false;
-      auto hosts = active_hosts_desc();
-      std::reverse(hosts.begin(), hosts.end());  // ascending load
-      for (std::size_t candidate : hosts) {
-        if (host_groups_[candidate].empty()) continue;
+      for (std::size_t i = by_load_.size(); i-- > 0;) {
+        const std::size_t candidate = by_load_[i];
         bool has_pinned = false;
         for (std::size_t g : host_groups_[candidate])
           if (model_.pinned_host(g) != Placement::kUnplaced) has_pinned = true;
         if (has_pinned) continue;
         if (try_empty_host(candidate)) {
           progress = true;
-          break;  // host set changed; recompute order
+          break;
         }
       }
     }
@@ -237,40 +285,43 @@ class IntervalAdapter {
     // Trial relocation: groups in decreasing size, targets in decreasing
     // load, excluding the candidate itself.
     const std::vector<std::size_t> groups = host_groups_[candidate];
+    const ResourceVector candidate_load = host_load_[candidate];
     std::vector<std::size_t> order = groups;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return normalized_load(sizes_[a], capacity_) >
-                              normalized_load(sizes_[b], capacity_);
-                     });
-    // Snapshot state for rollback.
-    const auto saved_load = host_load_;
-    const auto saved_groups = host_groups_;
-    const auto saved_group_host = group_host_;
-    const Placement saved_placement = placement_;
-
+    largest_first(order);
+    moves_.clear();
     for (std::size_t g : order) {
       detach(g);
-      bool placed = false;
-      for (std::size_t host : active_hosts_desc()) {
-        if (host == candidate) continue;
-        if (fits(host, sizes_[g]) &&
-            model_.allowed_on(g, static_cast<std::int32_t>(host),
-                              placement_)) {
-          attach(g, host);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        host_load_ = saved_load;
-        host_groups_ = saved_groups;
-        group_host_ = saved_group_host;
-        placement_ = saved_placement;
+      const std::size_t target = first_fit(g, candidate);
+      if (target == kNoHost) {
+        roll_back(candidate, groups, candidate_load);
         return false;
       }
+      moves_.push_back({target, host_load_[target]});
+      attach(g, target);
     }
     return true;
+  }
+
+  /// Undo a failed drain trial from moves_: every target gives back the
+  /// group it took last and gets its pre-move load back bit for bit, then
+  /// the candidate gets its group list, load and VMs back.
+  void roll_back(std::size_t candidate, const std::vector<std::size_t>& groups,
+                 const ResourceVector& candidate_load) {
+    for (auto move = moves_.rbegin(); move != moves_.rend(); ++move) {
+      unlist(move->host);
+      host_groups_[move->host].pop_back();
+      host_load_[move->host] = move->load;
+      enlist(move->host);  // a target was active before the trial
+    }
+    if (!host_groups_[candidate].empty()) unlist(candidate);
+    host_groups_[candidate] = groups;
+    host_load_[candidate] = candidate_load;
+    enlist(candidate);
+    for (std::size_t g : groups) {
+      group_host_[g] = static_cast<std::int32_t>(candidate);
+      for (std::size_t vm : model_.members(g))
+        placement_.assign(vm, static_cast<std::int32_t>(candidate));
+    }
   }
 
   const GroupModel& model_;
@@ -279,8 +330,11 @@ class IntervalAdapter {
   Placement placement_;
   std::vector<std::vector<std::size_t>> host_groups_;
   std::vector<ResourceVector> host_load_;
+  std::vector<double> key_;  ///< per host: the load it is listed under
+  std::vector<std::size_t> by_load_;  ///< active hosts, in load_order()
   std::vector<std::int32_t> group_host_;
   std::vector<std::size_t> pending_;
+  std::vector<TrialMove> moves_;  ///< the current drain trial's targets
 };
 
 }  // namespace
@@ -289,51 +343,48 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
                                         const StudySettings& settings,
                                         const ConstraintSet& constraints) {
   if (!constraints.structurally_feasible()) return std::nullopt;
-  const GroupModel model(vms, constraints);
+  const GroupModel model(vms.size(), constraints);
   const PeakPredictor predictor(settings.predictor);
   const ResourceVector capacity =
       settings.capacity(settings.dynamic_utilization_bound);
   const std::size_t intervals = settings.intervals();
+  const std::vector<ResourceVector> group_sizes =
+      predicted_group_sizes(vms, model, predictor, settings);
 
   DynamicPlan plan;
   plan.per_interval.reserve(intervals);
   plan.migrations.reserve(intervals);
 
-  Placement previous;
   for (std::size_t k = 0; k < intervals; ++k) {
-    const std::size_t hour = settings.eval_begin() + k * settings.interval_hours;
-    std::vector<ResourceVector> group_sizes(model.count());
-    for (std::size_t g = 0; g < model.count(); ++g)
-      group_sizes[g] =
-          model.predicted_size(g, predictor, hour, settings.interval_hours);
-
     Placement current;
     if (k == 0) {
-      // Initial placement: plain constrained FFD on the predicted sizes.
+      // Initial placement: plain constrained FFD on the predicted sizes
+      // (ffd_pack re-aggregates members by affinity group internally).
       std::vector<ResourceVector> vm_sizes(vms.size());
-      for (std::size_t g = 0; g < model.count(); ++g) {
-        // Spread the group size across members for ffd_pack (which
-        // re-aggregates by affinity group internally).
-        for (std::size_t vm : model.members(g))
-          vm_sizes[vm] = predict_vm_demand(predictor, vms[vm], hour,
-                                              settings.interval_hours);
-      }
+      for (std::size_t vm = 0; vm < vms.size(); ++vm)
+        vm_sizes[vm] = predict_vm_demand(predictor, vms[vm],
+                                         settings.eval_begin(),
+                                         settings.interval_hours);
       auto packed = ffd_pack(vm_sizes, capacity, constraints);
       if (!packed) return std::nullopt;
       current = std::move(packed->placement);
     } else {
-      IntervalAdapter adapter(model, group_sizes, capacity, previous);
+      IntervalAdapter adapter(
+          model,
+          std::span(group_sizes).subspan(k * model.count(), model.count()),
+          capacity, plan.per_interval.back());
       adapter.adapt();
       current = adapter.take_placement();
     }
 
     const std::size_t moved =
-        k == 0 ? 0 : Placement::migrations_between(previous, current);
+        k == 0 ? 0
+               : Placement::migrations_between(plan.per_interval.back(),
+                                               current);
     plan.migrations.push_back(moved);
     plan.total_migrations += moved;
     plan.max_active_hosts =
         std::max(plan.max_active_hosts, current.active_host_count());
-    previous = current;
     plan.per_interval.push_back(std::move(current));
   }
   return plan;

@@ -18,6 +18,24 @@
 // Every VM that changes host is one live migration; the paper's observation
 // that >25% of VMs can migrate per interval emerges from exactly this loop.
 // Pinned VMs never move; affinity groups move atomically.
+//
+// Each interval's adaptation costs in proportion to the hosts and groups
+// it touches:
+//   - The active hosts live in one vector ordered by (normalized load
+//     descending, host index ascending), each host's key cached. Attaching
+//     or detaching a group re-positions only that host (erase, then
+//     lower_bound insert). The order is exactly what a stable sort by
+//     descending load over ascending host indices gives, so first-fit among
+//     equally loaded hosts picks the lowest index, and consolidation —
+//     walking the list backwards for ascending load — tries the highest
+//     index first.
+//   - A failed drain trial is undone from a log, not from a copy of the
+//     planner state: the candidate's group list and exact load, and each
+//     target with its exact pre-move load. Rollback pops the targets'
+//     groups in reverse and restores the saved loads bit for bit, so a
+//     failed trial leaves every load, list and key exactly as it was.
+//   - Predicted group sizes are computed once per plan, group by group,
+//     into one intervals x groups table; each interval reads its row.
 #pragma once
 
 #include <optional>
