@@ -1,9 +1,11 @@
 // Shared fixtures for planner/emulator tests: small deterministic fleets.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/placement.h"
 #include "core/settings.h"
 #include "core/vm.h"
 #include "trace/generator.h"
@@ -36,6 +38,32 @@ inline VmWorkload constant_vm(const std::string& id, double cpu_rpe2,
   vm.cpu_rpe2 = TimeSeries(std::vector<double>(hours, cpu_rpe2));
   vm.mem_mb = TimeSeries(std::vector<double>(hours, mem_mb));
   return vm;
+}
+
+// FNV-1a over little-endian integers: pins whole placements and schedules
+// in one number.
+inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    h ^= (value >> (8 * i)) & 0xffu;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+inline constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+/// FNV-1a of every VM's host, placement by placement.
+inline std::uint64_t schedule_hash(const std::vector<Placement>& per_interval) {
+  std::uint64_t h = kFnvBasis;
+  for (const auto& p : per_interval)
+    for (std::size_t vm = 0; vm < p.vm_count(); ++vm)
+      h = fnv1a(h, static_cast<std::uint32_t>(p.host_of(vm)), 4);
+  return h;
+}
+
+/// A Table-2 preset scaled to 120 servers over one month, at kStudySeed.
+inline std::vector<VmWorkload> preset_fleet(WorkloadSpec spec) {
+  return to_vm_workloads(generate_datacenter(
+      scaled_down(std::move(spec), 120, kHoursPerMonth), kStudySeed));
 }
 
 }  // namespace vmcw::testing

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+
 #include "core/emulator.h"
 #include "test_helpers.h"
 #include "util/stats.h"
@@ -12,6 +16,8 @@ namespace vmcw {
 namespace {
 
 using testing::constant_vm;
+using testing::preset_fleet;
+using testing::schedule_hash;
 using testing::small_fleet;
 using testing::small_settings;
 
@@ -146,6 +152,56 @@ TEST(StochasticPlanner, MemoryPercentileControlsAggressiveness) {
   const auto aggressive = plan_stochastic(vms, settings);
   ASSERT_TRUE(conservative && aggressive);
   EXPECT_LE(aggressive->hosts_used, conservative->hosts_used);
+}
+
+// Golden pins of the semi-static and stochastic placements on the four
+// Table-2 presets scaled to 120 servers: FNV-1a of the placement and the
+// host count. Any change to sizing (history peak, PCP body percentile,
+// peak signatures) or to packing order shows up here.
+TEST(StochasticPlanner, GoldenPlacementPins) {
+  struct Pin {
+    std::uint64_t placement;
+    std::size_t hosts_used;
+  };
+  const auto expect_pin = [](const std::optional<StaticPlan>& plan,
+                             const Pin& pin, const std::string& label) {
+    ASSERT_TRUE(plan.has_value()) << label;
+    EXPECT_EQ(schedule_hash({plan->placement}), pin.placement) << label;
+    EXPECT_EQ(plan->hosts_used, pin.hosts_used) << label;
+  };
+  const StudySettings settings;
+  const struct {
+    WorkloadSpec spec;
+    Pin semi_static;
+    Pin stochastic;
+  } presets[] = {
+      {banking_spec(),
+       {11105920131081566290ULL, 6},
+       {11461394995229956002ULL, 5}},
+      {airlines_spec(),
+       {17455240412113673551ULL, 15},
+       {15535954078503928911ULL, 15}},
+      {natural_resources_spec(),
+       {3672958834897839374ULL, 12},
+       {4855410529575707475ULL, 11}},
+      {beverage_spec(),
+       {9937271277071502211ULL, 7},
+       {1854835962404053716ULL, 6}},
+  };
+  for (const auto& preset : presets) {
+    const auto vms = preset_fleet(preset.spec);
+    expect_pin(plan_semi_static(vms, settings), preset.semi_static,
+               preset.spec.name + " semi-static");
+    expect_pin(plan_stochastic(vms, settings), preset.stochastic,
+               preset.spec.name + " stochastic");
+  }
+
+  // Memory sized at its median instead of its peak.
+  auto median_memory = settings;
+  median_memory.stochastic_memory_percentile = 50.0;
+  expect_pin(plan_stochastic(preset_fleet(natural_resources_spec()),
+                             median_memory),
+             {15095386676918994940ULL, 10}, "stochastic, memory p50");
 }
 
 }  // namespace
