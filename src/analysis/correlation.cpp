@@ -17,8 +17,8 @@ BodyTail body_tail(std::span<const double> windowed_demand,
   return bt;
 }
 
-std::vector<double> peak_signature(const TimeSeries& series, double body,
-                                   std::size_t bucket_hours) {
+std::vector<double> peak_signature(std::span<const double> series,
+                                   double body, std::size_t bucket_hours) {
   bucket_hours = std::clamp<std::size_t>(bucket_hours, 1, kHoursPerDay);
   const std::size_t buckets = kHoursPerDay / bucket_hours;
   std::vector<double> above(buckets, 0.0);

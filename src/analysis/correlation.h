@@ -15,8 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "trace/time_series.h"
-
 namespace vmcw {
 
 /// Body/tail sizing decomposition of a demand series.
@@ -32,9 +30,10 @@ BodyTail body_tail(std::span<const double> windowed_demand,
 
 /// Peak-epoch signature: for each hour-of-day bucket (24 / bucket_hours
 /// buckets), the fraction of days on which this series exceeded its body
-/// during that bucket. Length = 24 / bucket_hours.
-std::vector<double> peak_signature(const TimeSeries& series, double body,
-                                   std::size_t bucket_hours = 4);
+/// during that bucket. Sample t is hour t of the day cycle. Length =
+/// 24 / bucket_hours.
+std::vector<double> peak_signature(std::span<const double> series,
+                                   double body, std::size_t bucket_hours = 4);
 
 /// Cosine similarity of two signatures (0 when either is all-zero).
 double signature_similarity(std::span<const double> a,

@@ -10,9 +10,23 @@
 // heavy-tailed spikes — Banking's defining trait — are exactly what this
 // cannot foresee, which is how dynamic consolidation ends up with the
 // contention of Figs 8-9.
+//
+// Planners predict every consolidation window of a series at once, so the
+// one entry point is a batch call over `count` consecutive `len`-hour
+// windows. It first builds a window-peak table: the peak() of every
+// `len`-window whose start lies on the grid of step gcd(len, 24) through
+// `begin` (step `len` when there is no lookback). Window i starts at
+// begin + i*len, and every window a prediction reads starts a whole number
+// of days or one `len` before that, so it lies on the grid. Each prediction
+// then folds at most lookback_days + 1 table entries with std::max from
+// 0.0, in the same order as a per-window rescan, and applies the margin
+// last. The entries are the same peak() of the same clamped slices, and
+// max is exact, so every prediction is the same double a rescan gives.
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "trace/time_series.h"
 
@@ -33,10 +47,13 @@ class PeakPredictor {
   PeakPredictor() noexcept : PeakPredictor(Options{}) {}
   explicit PeakPredictor(Options options) noexcept : options_(options) {}
 
-  /// Predicted peak of `series` over [hour, hour+len); `safety_margin`
-  /// scales the raw seasonal-max estimate.
-  double predict(const TimeSeries& series, std::size_t hour, std::size_t len,
-                 double safety_margin) const noexcept;
+  /// Predicted peaks of `out.size()` consecutive windows of `series`:
+  /// out[i] is the estimate for [begin + i*len, begin + (i+1)*len), scaled
+  /// by `safety_margin`. `table` is scratch for the window-peak table; it
+  /// is overwritten, so one buffer serves any number of calls.
+  void predict(const TimeSeries& series, std::size_t begin, std::size_t len,
+               double safety_margin, std::span<double> out,
+               std::vector<double>& table) const;
 
   const Options& options() const noexcept { return options_; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "trace/patterns.h"
 #include "util/stats.h"
@@ -63,14 +64,19 @@ PredictabilityReport predictability(const TimeSeries& series,
                                     double safety_margin) {
   PredictabilityReport report;
   if (window_hours == 0) return report;
+  // Whole windows inside both [begin, begin + len) and the series.
+  const std::size_t end = std::min(begin + len, series.size());
+  std::vector<double> predictions(end > begin ? (end - begin) / window_hours
+                                              : 0);
+  std::vector<double> table;
+  predictor.predict(series, begin, window_hours, safety_margin, predictions,
+                    table);
   double shortfall_sum = 0.0;
   std::size_t misses = 0;
-  for (std::size_t hour = begin; hour + window_hours <= begin + len &&
-                                 hour + window_hours <= series.size();
-       hour += window_hours) {
-    const double predicted =
-        predictor.predict(series, hour, window_hours, safety_margin);
-    const double actual = peak(series.slice(hour, window_hours));
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    const double predicted = predictions[i];
+    const double actual =
+        peak(series.slice(begin + i * window_hours, window_hours));
     ++report.windows;
     if (actual > predicted) {
       ++misses;

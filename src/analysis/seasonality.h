@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <span>
 
-#include "core/predictor.h"
+#include "analysis/predictor.h"
 #include "trace/server_trace.h"
 #include "trace/time_series.h"
 

@@ -6,6 +6,7 @@
 
 #include "core/admission.h"
 #include "core/binpack.h"
+#include "core/predictor.h"
 
 namespace vmcw {
 
@@ -44,21 +45,35 @@ class GroupModel {
   std::vector<std::int32_t> pinned_;
 };
 
-/// Predicted size of every group in every interval: row k holds interval
-/// k's sizes, at [k * groups, (k + 1) * groups). Filled group by group so
-/// each VM's series stays in cache across all intervals; per entry the
-/// members are summed in the same order as a per-interval pass would.
-std::vector<ResourceVector> predicted_group_sizes(
-    std::span<const VmWorkload> vms, const GroupModel& model,
-    const PeakPredictor& predictor, const StudySettings& settings) {
+/// Predicted sizes for the whole plan, filled VM by VM from one batch
+/// prediction per VM over all intervals.
+struct PredictedSizes {
+  /// Row k holds every group's size in interval k, at [k * groups,
+  /// (k + 1) * groups). Per entry the members are summed in the same order
+  /// as a per-interval pass would.
+  std::vector<ResourceVector> groups;
+  /// Every VM's size in interval 0, for the initial packing.
+  std::vector<ResourceVector> first_interval;
+};
+
+PredictedSizes predict_sizes(std::span<const VmWorkload> vms,
+                             const GroupModel& model,
+                             const PeakPredictor& predictor,
+                             const StudySettings& settings) {
   const std::size_t groups = model.count();
-  const std::size_t len = settings.interval_hours;
-  std::vector<ResourceVector> sizes(settings.intervals() * groups);
+  const std::size_t intervals = settings.intervals();
+  PredictedSizes sizes;
+  sizes.groups.resize(intervals * groups);
+  sizes.first_interval.resize(vms.size());
+  VmDemandPredictor vm_predictor(predictor);
   for (std::size_t g = 0; g < groups; ++g)
-    for (std::size_t vm : model.members(g))
-      for (std::size_t k = 0; k < settings.intervals(); ++k)
-        sizes[k * groups + g] += predict_vm_demand(
-            predictor, vms[vm], settings.eval_begin() + k * len, len);
+    for (std::size_t vm : model.members(g)) {
+      vm_predictor.predict(vms[vm], settings.eval_begin(),
+                           settings.interval_hours, intervals);
+      for (std::size_t k = 0; k < intervals; ++k)
+        sizes.groups[k * groups + g] += vm_predictor.at(k);
+      if (intervals > 0) sizes.first_interval[vm] = vm_predictor.at(0);
+    }
   return sizes;
 }
 
@@ -87,7 +102,9 @@ class IntervalAdapter {
     host_load_.resize(host_groups_.size());
     key_.resize(host_groups_.size());
     group_host_.resize(model.count(), Placement::kUnplaced);
+    group_key_.resize(model.count());
     for (std::size_t g = 0; g < model.count(); ++g) {
+      group_key_[g] = normalized_load(sizes_[g], capacity_);
       const std::size_t vm0 = model.members(g).front();
       const std::int32_t h = placement_.host_of(vm0);
       group_host_[g] = h;
@@ -122,6 +139,13 @@ class IntervalAdapter {
     ResourceVector load;
   };
 
+  /// A group in largest_first, with its key and its position in the input.
+  struct Ranked {
+    double key;
+    std::size_t position;
+    std::size_t group;
+  };
+
   std::size_t max_host_bound() const {
     std::size_t bound = placement_.host_index_bound();
     for (std::size_t g = 0; g < model_.count(); ++g) {
@@ -146,13 +170,21 @@ class IntervalAdapter {
   };
   LoadOrder load_order() const { return {key_}; }
 
-  /// Sort groups largest first (stable: equal sizes keep their order).
-  void largest_first(std::vector<std::size_t>& groups) const {
-    std::stable_sort(groups.begin(), groups.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return normalized_load(sizes_[a], capacity_) >
-                              normalized_load(sizes_[b], capacity_);
-                     });
+  /// `groups` largest first (stable: equal sizes keep their order), valid
+  /// until the next call. Each entry carries its key and position, so an
+  /// unstable sort under (key descending, position ascending) gives the
+  /// stable permutation without the buffer std::stable_sort allocates.
+  const std::vector<Ranked>& largest_first(
+      const std::vector<std::size_t>& groups) {
+    ranked_.clear();
+    for (std::size_t i = 0; i < groups.size(); ++i)
+      ranked_.push_back({group_key_[groups[i]], i, groups[i]});
+    std::sort(ranked_.begin(), ranked_.end(),
+              [](const Ranked& a, const Ranked& b) {
+                return a.key > b.key ||
+                       (a.key == b.key && a.position < b.position);
+              });
+    return ranked_;
   }
 
   /// Remove `host` from by_load_; key_[host] must be the key it was listed
@@ -224,7 +256,7 @@ class IntervalAdapter {
         double largest_key = -1.0;
         for (std::size_t g : host_groups_[host]) {
           if (model_.pinned_host(g) != Placement::kUnplaced) continue;
-          const double key = normalized_load(sizes_[g], capacity_);
+          const double key = group_key_[g];
           const bool resolves =
               sizes_[g].cpu_rpe2 >= excess.cpu_rpe2 - 1e-9 &&
               sizes_[g].memory_mb >= excess.memory_mb - 1e-9;
@@ -249,11 +281,10 @@ class IntervalAdapter {
 
   /// First-fit pending groups onto the most-loaded feasible hosts.
   void place_pending() {
-    largest_first(pending_);
-    for (std::size_t g : pending_) {
-      const std::size_t host = first_fit(g, kNoHost);
+    for (const Ranked& r : largest_first(pending_)) {
+      const std::size_t host = first_fit(r.group, kNoHost);
       // A fresh host always fits a single group.
-      attach(g, host != kNoHost ? host : open_host());
+      attach(r.group, host != kNoHost ? host : open_host());
     }
     pending_.clear();
   }
@@ -284,16 +315,15 @@ class IntervalAdapter {
   bool try_empty_host(std::size_t candidate) {
     // Trial relocation: groups in decreasing size, targets in decreasing
     // load, excluding the candidate itself.
-    const std::vector<std::size_t> groups = host_groups_[candidate];
+    trial_groups_ = host_groups_[candidate];
     const ResourceVector candidate_load = host_load_[candidate];
-    std::vector<std::size_t> order = groups;
-    largest_first(order);
     moves_.clear();
-    for (std::size_t g : order) {
+    for (const Ranked& r : largest_first(trial_groups_)) {
+      const std::size_t g = r.group;
       detach(g);
       const std::size_t target = first_fit(g, candidate);
       if (target == kNoHost) {
-        roll_back(candidate, groups, candidate_load);
+        roll_back(candidate, candidate_load);
         return false;
       }
       moves_.push_back({target, host_load_[target]});
@@ -304,9 +334,8 @@ class IntervalAdapter {
 
   /// Undo a failed drain trial from moves_: every target gives back the
   /// group it took last and gets its pre-move load back bit for bit, then
-  /// the candidate gets its group list, load and VMs back.
-  void roll_back(std::size_t candidate, const std::vector<std::size_t>& groups,
-                 const ResourceVector& candidate_load) {
+  /// the candidate gets its group list (trial_groups_), load and VMs back.
+  void roll_back(std::size_t candidate, const ResourceVector& candidate_load) {
     for (auto move = moves_.rbegin(); move != moves_.rend(); ++move) {
       unlist(move->host);
       host_groups_[move->host].pop_back();
@@ -314,10 +343,10 @@ class IntervalAdapter {
       enlist(move->host);  // a target was active before the trial
     }
     if (!host_groups_[candidate].empty()) unlist(candidate);
-    host_groups_[candidate] = groups;
+    host_groups_[candidate] = trial_groups_;
     host_load_[candidate] = candidate_load;
     enlist(candidate);
-    for (std::size_t g : groups) {
+    for (std::size_t g : trial_groups_) {
       group_host_[g] = static_cast<std::int32_t>(candidate);
       for (std::size_t vm : model_.members(g))
         placement_.assign(vm, static_cast<std::int32_t>(candidate));
@@ -333,8 +362,12 @@ class IntervalAdapter {
   std::vector<double> key_;  ///< per host: the load it is listed under
   std::vector<std::size_t> by_load_;  ///< active hosts, in load_order()
   std::vector<std::int32_t> group_host_;
+  std::vector<double> group_key_;  ///< per group: normalized predicted size
   std::vector<std::size_t> pending_;
   std::vector<TrialMove> moves_;  ///< the current drain trial's targets
+  // Reused across drain trials and sorts.
+  std::vector<std::size_t> trial_groups_;  ///< the drain candidate's groups
+  std::vector<Ranked> ranked_;             ///< largest_first's result
 };
 
 }  // namespace
@@ -348,8 +381,7 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
   const ResourceVector capacity =
       settings.capacity(settings.dynamic_utilization_bound);
   const std::size_t intervals = settings.intervals();
-  const std::vector<ResourceVector> group_sizes =
-      predicted_group_sizes(vms, model, predictor, settings);
+  const PredictedSizes sizes = predict_sizes(vms, model, predictor, settings);
 
   DynamicPlan plan;
   plan.per_interval.reserve(intervals);
@@ -360,18 +392,13 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
     if (k == 0) {
       // Initial placement: plain constrained FFD on the predicted sizes
       // (ffd_pack re-aggregates members by affinity group internally).
-      std::vector<ResourceVector> vm_sizes(vms.size());
-      for (std::size_t vm = 0; vm < vms.size(); ++vm)
-        vm_sizes[vm] = predict_vm_demand(predictor, vms[vm],
-                                         settings.eval_begin(),
-                                         settings.interval_hours);
-      auto packed = ffd_pack(vm_sizes, capacity, constraints);
+      auto packed = ffd_pack(sizes.first_interval, capacity, constraints);
       if (!packed) return std::nullopt;
       current = std::move(packed->placement);
     } else {
       IntervalAdapter adapter(
           model,
-          std::span(group_sizes).subspan(k * model.count(), model.count()),
+          std::span(sizes.groups).subspan(k * model.count(), model.count()),
           capacity, plan.per_interval.back());
       adapter.adapt();
       current = adapter.take_placement();

@@ -24,8 +24,7 @@ std::vector<StochasticItem> make_stochastic_items(
     items[i].tail = ResourceVector{cpu_bt.tail, mem_bt.tail};
     // Signature over the window slice; hour-of-day phase is preserved
     // because `begin` is always a multiple of 24 in the planners.
-    signatures[i] = peak_signature(
-        TimeSeries(std::vector<double>(cpu.begin(), cpu.end())), cpu_bt.body);
+    signatures[i] = peak_signature(cpu, cpu_bt.body);
   }
   const auto clusters = cluster_signatures(signatures, cluster_similarity);
   for (std::size_t i = 0; i < vms.size(); ++i) items[i].cluster = clusters[i];

@@ -90,13 +90,16 @@ StudyResult run_study(std::string workload_name,
                                         vms, settings, costs);
   });
   group.run([&] {
-    Stopwatch plan_span("study.dynamic_seconds");
+    Stopwatch plan_span("study.dynamic_plan_seconds");
     auto dynamic = plan_dynamic(vms, settings, constraints);
+    plan_span.stop();
     if (!dynamic) throw std::runtime_error("dynamic planning failed");
     AlgorithmResult dyn;
     dyn.algorithm = Algorithm::kDynamic;
+    Stopwatch emulate_span("study.dynamic_emulate_seconds");
     dyn.emulation = emulate(vms, dynamic->per_interval, settings,
                             /*power_off_empty_hosts=*/true);
+    emulate_span.stop();
     dyn.provisioned_hosts = dynamic->max_active_hosts;
     dyn.space_cost = costs.space_hardware_cost(
         settings.target, dyn.provisioned_hosts,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace vmcw {
 
@@ -50,21 +51,48 @@ double coefficient_of_variation(std::span<const double> xs) noexcept {
   return stddev(xs) / m;
 }
 
+namespace {
+
+/// Where percentile p falls among n >= 2 ascending samples: between order
+/// statistics lo and hi = min(lo + 1, n - 1), a fraction frac past lo.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank percentile_rank(std::size_t n, double p) noexcept {
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(n - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+double interpolate(double lo, double hi, double frac) noexcept {
+  return lo + frac * (hi - lo);
+}
+
+}  // namespace
+
 double percentile_sorted(std::span<const double> sorted, double p) noexcept {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted[0];
-  p = std::clamp(p, 0.0, 100.0);
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  const Rank r = percentile_rank(sorted.size(), p);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
 }
 
 double percentile(std::span<const double> xs, double p) {
+  if (xs.empty()) return 0.0;
+  if (xs.size() == 1) return xs[0];
+  // Select order statistic lo; everything after it is >= it, so the
+  // smallest of that upper part is order statistic lo + 1. Both are exact
+  // elements, so the result is the double a full sort gives.
+  const Rank r = percentile_rank(xs.size(), p);
   std::vector<double> copy(xs.begin(), xs.end());
-  std::sort(copy.begin(), copy.end());
-  return percentile_sorted(copy, p);
+  const auto lo = copy.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(copy.begin(), lo, copy.end());
+  const double hi = r.hi == r.lo ? *lo : *std::min_element(lo + 1, copy.end());
+  return interpolate(*lo, hi, r.frac);
 }
 
 double peak_to_average(std::span<const double> xs) noexcept {

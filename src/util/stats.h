@@ -27,7 +27,9 @@ double stddev(std::span<const double> xs) noexcept;
 /// CoV >= 1 marks a heavy-tailed series in the paper's terminology.
 double coefficient_of_variation(std::span<const double> xs) noexcept;
 
-/// Linear-interpolation percentile, p in [0, 100]. Sorts a copy (O(n log n)).
+/// Linear-interpolation percentile, p in [0, 100]. Selects the two order
+/// statistics from a copy (O(n)); the same double as percentile_sorted over
+/// a sorted copy.
 double percentile(std::span<const double> xs, double p);
 
 /// Percentile of an already ascending-sorted span (no copy).

@@ -40,7 +40,7 @@ TEST(PeakSignature, MarksBucketsAboveBody) {
   std::vector<double> v(48, 1.0);
   for (std::size_t d = 0; d < 2; ++d)
     for (std::size_t h = 8; h < 12; ++h) v[d * 24 + h] = 5.0;
-  const auto sig = peak_signature(TimeSeries(v), /*body=*/2.0,
+  const auto sig = peak_signature(v, /*body=*/2.0,
                                   /*bucket_hours=*/4);
   ASSERT_EQ(sig.size(), 6u);
   EXPECT_DOUBLE_EQ(sig[2], 1.0);  // bucket for hours 8-11
@@ -51,12 +51,12 @@ TEST(PeakSignature, FractionalOccupancy) {
   // Exceeds body in hours 8-11 on day 1 only, of 2 days.
   std::vector<double> v(48, 1.0);
   for (std::size_t h = 8; h < 12; ++h) v[h] = 5.0;
-  const auto sig = peak_signature(TimeSeries(v), 2.0, 4);
+  const auto sig = peak_signature(v, 2.0, 4);
   EXPECT_DOUBLE_EQ(sig[2], 0.5);
 }
 
 TEST(PeakSignature, BucketSizeClamped) {
-  const auto sig = peak_signature(TimeSeries(std::vector<double>(24, 1.0)),
+  const auto sig = peak_signature(std::vector<double>(24, 1.0),
                                   0.5, 100);
   EXPECT_EQ(sig.size(), 1u);
   EXPECT_DOUBLE_EQ(sig[0], 1.0);  // everything above body 0.5

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace vmcw {
 namespace {
@@ -80,6 +85,25 @@ TEST(PercentileSorted, MatchesPercentile) {
   const std::vector<double> sorted{1, 2, 3, 4, 5};
   for (double p : {0.0, 10.0, 33.0, 50.0, 77.7, 100.0})
     EXPECT_DOUBLE_EQ(percentile_sorted(sorted, p), percentile(sorted, p));
+}
+
+// percentile() selects its two order statistics instead of sorting; the
+// result must be the very double percentile_sorted gives on a sorted copy.
+// Few distinct values make ties around both order statistics common.
+TEST(Percentile, SelectionMatchesFullSort) {
+  Rng rng(7);
+  for (std::size_t n = 0; n <= 257; ++n) {
+    std::vector<double> xs(n);
+    for (double& x : xs)
+      x = static_cast<double>(rng.uniform_int(0, 9)) * 0.3 +
+          (rng.uniform() < 0.1 ? rng.uniform(0.0, 1.0) : 0.0);
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {0.0, 1e-9, 10.0, 50.0, 90.0, 95.0, 99.0, 99.999, 100.0})
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(percentile(xs, p)),
+                std::bit_cast<std::uint64_t>(percentile_sorted(sorted, p)))
+          << "n " << n << " p " << p;
+  }
 }
 
 TEST(PearsonCorrelation, PerfectCorrelations) {
