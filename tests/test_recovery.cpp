@@ -459,6 +459,94 @@ TEST(SegmentedLog, ReclaimBeforeUnlinksOnlyWhollyCoveredSealedSegments) {
                std::runtime_error);
 }
 
+// ------------------------------------------------------ on-disk pins
+
+/// Thirteen fixed frames of every WAL-able kind: a pure function of `i`,
+/// so the byte pins below depend on the log format and nothing else.
+std::vector<Frame> pin_frames() {
+  std::vector<Frame> frames;
+  frames.push_back(HelloFrame{kProtocolVersion, 0x5eed, "pin-peer"});
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    switch (i % 6) {
+      case 0:
+        frames.push_back(VmArrivalFrame{i, 100 + i, "app", 1.5 * i, 512.0});
+        break;
+      case 1:
+        frames.push_back(HostTelemetryDeltaFrame{
+            i, i % 3, {{100, 0.25 * i, 256.0}, {101, 0.5, 128.0 + i}}});
+        break;
+      case 2:
+        frames.push_back(HeartbeatFrame{i});
+        break;
+      case 3:
+        frames.push_back(DecisionBatchFrame{
+            i,
+            i % 2 == 1,
+            {{100, DecisionAction::kAdmit, DecisionReason::kAdmitted, -1, 2},
+             {101, DecisionAction::kHold, DecisionReason::kNoCapacity, 3, -1}}});
+        break;
+      case 4:
+        frames.push_back(VmDepartureFrame{i, 100 + i / 2});
+        break;
+      default:
+        frames.push_back(FlushFrame{i});
+        break;
+    }
+  }
+  return frames;
+}
+
+std::uint64_t file_hash(const std::string& path) {
+  const std::string bytes = file_bytes(path);
+  return wire::fnv1a64(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                       bytes.size());
+}
+
+TEST(OnDiskPins, FrameLogFileBytes) {
+  const std::string dir = temp_dir("vmcw_rec_pin_framelog");
+  const std::string path = dir + "/pin.wal";
+  FrameLog log;
+  log.open(path, 0x0123456789abcdefULL, /*resume=*/false);
+  for (const Frame& frame : pin_frames()) log.append(frame, /*sync=*/false);
+  log.sync();
+  log.close();
+  EXPECT_EQ(fs::file_size(path), 669u);
+  EXPECT_EQ(file_hash(path), 0xb23b442c0de2be6bULL);
+}
+
+TEST(OnDiskPins, SegmentedChainBytesAcrossRotationAndResume) {
+  const std::string dir = temp_dir("vmcw_rec_pin_chain");
+  const std::string path = dir + "/pin.wal";
+  const auto frames = pin_frames();
+  {
+    SegmentedFrameLog log;
+    log.open(path, 0x0123456789abcdefULL, /*resume=*/false,
+             /*segment_frames=*/3);
+    for (std::size_t i = 0; i < 10; ++i) log.append(frames[i], false);
+    log.sync();
+    log.close();
+  }
+  {
+    SegmentedFrameLog log;
+    const auto rec = log.open(path, 0x0123456789abcdefULL, /*resume=*/true, 3);
+    ASSERT_EQ(rec.frame_count, 10u);
+    for (std::size_t i = 10; i < frames.size(); ++i)
+      log.append(frames[i], false);
+    log.sync();
+    log.close();
+  }
+  const std::uint64_t pins[] = {0x264e846ec6382569ULL,
+                                0x01b09a67f016b493ULL,
+                                0x6857defeca4a52f3ULL,
+                                0xf3c7b55760cbf0e3ULL,
+                                0x37f7cf108c635284ULL};
+  for (std::size_t i = 0; i < std::size(pins); ++i) {
+    SCOPED_TRACE(i + 1);
+    EXPECT_EQ(file_hash(segment_path(path, i + 1)), pins[i]);
+  }
+  EXPECT_FALSE(fs::exists(segment_path(path, std::size(pins) + 1)));
+}
+
 // -------------------------------------------- daemon snapshot recovery
 
 TEST(Recovery, SnapshotPlusSuffixMatchesColdReplayAtAnyThreadCount) {
