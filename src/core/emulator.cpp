@@ -124,13 +124,11 @@ EmulationAccumulator::HourOutcome EmulationAccumulator::step_hour(
       host_peak_util_[h] = std::max(host_peak_util_[h], util);
       if (util > 1.0) {
         report_.cpu_contention_samples.push_back(util - 1.0);
-        ++out.cpu_samples;
         any_contention = true;
         host_contended_[h] = true;
       }
       if (mem_util > 1.0) {
         report_.mem_contention_samples.push_back(mem_util - 1.0);
-        ++out.mem_samples;
         any_contention = true;
         host_contended_[h] = true;
       }

@@ -100,11 +100,6 @@ class EmulationAccumulator {
   struct HourOutcome {
     bool contention = false;   ///< some host's demand exceeded capacity
     std::size_t vms_down = 0;  ///< placed VMs whose host is offline
-    /// Contention samples appended to the report this hour. Sharded
-    /// emulation (scale/shard.h) uses these to interleave per-shard sample
-    /// streams back into the global (hour, host) order.
-    std::uint32_t cpu_samples = 0;
-    std::uint32_t mem_samples = 0;
   };
 
   /// Replay one absolute trace hour. `down_hosts` (optional) marks hosts

@@ -74,13 +74,6 @@ ConstraintSet ConsolidationEngine::compiled_constraints() const {
   return constraints;
 }
 
-double ConsolidationEngine::bound_for(Strategy strategy) const noexcept {
-  const bool dynamic =
-      strategy == Strategy::kDynamic || strategy == Strategy::kHybrid;
-  return dynamic ? config_.settings.dynamic_utilization_bound
-                 : config_.settings.static_utilization_bound;
-}
-
 std::optional<ConsolidationEngine::Recommendation>
 ConsolidationEngine::recommend(Strategy strategy) const {
   if (!view_) throw std::logic_error("observe() an estate first");
@@ -131,69 +124,6 @@ ConsolidationEngine::recommend(Strategy strategy) const {
       rec.schedule, vms_, config_.settings.eval_begin(),
       config_.settings.interval_hours, MigrationConfig{});
   return rec;
-}
-
-std::optional<ConsolidationEngine::OnlineAdmission>
-ConsolidationEngine::admit_one_vm(const Recommendation& rec,
-                                  const VmWorkload& newcomer) const {
-  if (!view_) throw std::logic_error("observe() an estate first");
-  if (rec.schedule.empty()) return std::nullopt;
-  const ConstraintSet constraints = compiled_constraints();
-  const double bound = bound_for(rec.strategy);
-  const HostPool pool = HostPool::uniform(config_.settings.target);
-  const std::size_t history = config_.settings.history_hours;
-
-  OnlineAdmission admission;
-  admission.placement = Placement(vms_.size() + 1);
-  const Placement& final_placement = rec.schedule.back();
-  std::vector<ResourceVector> host_load(final_placement.host_index_bound());
-  for (std::size_t vm = 0; vm < vms_.size(); ++vm) {
-    const std::int32_t host = final_placement.host_of(vm);
-    admission.placement.assign(vm, host);
-    if (host != Placement::kUnplaced)
-      host_load[static_cast<std::size_t>(host)] +=
-          vms_[vm].size_over(0, history, WindowReducer::kMax);
-  }
-
-  const auto host = admit_one(
-      vms_.size(), newcomer.size_over(0, history, WindowReducer::kMax),
-      host_load, pool, bound, constraints, admission.placement, {});
-  if (!host) return std::nullopt;
-  admission.host = *host;
-  return admission;
-}
-
-RepairOutcome ConsolidationEngine::partial_replan(Recommendation& rec,
-                                                  std::size_t hour,
-                                                  double drain_below) const {
-  if (!view_) throw std::logic_error("observe() an estate first");
-  if (rec.schedule.empty()) return {};
-  const ConstraintSet constraints = compiled_constraints();
-  const double bound = bound_for(rec.strategy);
-  const HostPool pool = HostPool::uniform(config_.settings.target);
-
-  // Size every VM at the requested hour's interval — the demand the
-  // thresholds are judged against.
-  std::vector<ResourceVector> sizes(vms_.size());
-  for (std::size_t vm = 0; vm < vms_.size(); ++vm)
-    sizes[vm] = vms_[vm].size_over(hour, config_.settings.interval_hours,
-                                   WindowReducer::kMax);
-
-  Placement& placement = rec.schedule.back();
-  std::vector<ResourceVector> host_load(placement.host_index_bound());
-  for (std::size_t vm = 0; vm < vms_.size(); ++vm) {
-    const std::int32_t host = placement.host_of(vm);
-    if (host != Placement::kUnplaced)
-      host_load[static_cast<std::size_t>(host)] += sizes[vm];
-  }
-
-  RepairOutcome outcome = repair_and_drain(sizes, placement, host_load, pool,
-                                           bound, drain_below, constraints);
-  rec.total_migrations +=
-      outcome.repair_moves.size() + outcome.drain_moves.size();
-  rec.provisioned_hosts =
-      std::max(rec.provisioned_hosts, placement.active_host_count());
-  return outcome;
 }
 
 EmulationReport ConsolidationEngine::evaluate(

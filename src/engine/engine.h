@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chaos/replay.h"
-#include "core/admission.h"
 #include "core/hybrid.h"
 #include "core/migration_scheduler.h"
 #include "core/study.h"
@@ -86,29 +85,6 @@ class ConsolidationEngine {
   /// Requires observe() (the estate size bounds the materialized table).
   FailureDomainMap failure_domain_map() const;
 
-  /// Online admission of one newcomer into a recommendation's final
-  /// placement, without disturbing residents — the same single-VM path
-  /// (core/admission's admit_one) the consolidation daemon uses. Residents
-  /// and the newcomer are sized by peak demand over the planning history;
-  /// compiled spread rules are honored. The newcomer takes VM index
-  /// vm_count() in the returned placement.
-  struct OnlineAdmission {
-    std::size_t host = 0;
-    Placement placement;  ///< residents + the newcomer, one VM larger
-  };
-  std::optional<OnlineAdmission> admit_one_vm(const Recommendation& rec,
-                                              const VmWorkload& newcomer) const;
-
-  /// Threshold-triggered partial re-plan of a recommendation's final
-  /// placement, sized at `hour`: hosts over the utilization bound are
-  /// repaired by evicting and re-admitting single VMs; hosts below
-  /// `drain_below` (0 disables) are drained entirely or not at all. The
-  /// final schedule entry is updated in place; the returned outcome lists
-  /// the moves. This is the batch-side twin of the daemon's per-tick
-  /// incremental decisions.
-  RepairOutcome partial_replan(Recommendation& rec, std::size_t hour,
-                               double drain_below = 0.0) const;
-
   /// Replay the *ground truth* against a recommendation's schedule — the
   /// emulator step the paper uses to compare algorithms.
   EmulationReport evaluate(const Recommendation& recommendation) const;
@@ -123,12 +99,8 @@ class ConsolidationEngine {
   const Config& config() const noexcept { return config_; }
 
  private:
-  /// Spread rules compiled exactly as recommend() compiles them, so the
-  /// online entry points honor the same constraints as batch planning.
+  /// The spread rules every strategy honors (settings.domains).
   ConstraintSet compiled_constraints() const;
-  /// Utilization bound of a strategy (dynamic variants reserve migration
-  /// headroom; static ones do not).
-  double bound_for(Strategy strategy) const noexcept;
 
   Config config_;
   std::optional<Datacenter> truth_;

@@ -1,5 +1,8 @@
 #include "runtime/telemetry.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -114,26 +117,30 @@ std::string MetricsRegistry::to_json() const {
   return out.str();
 }
 
-bool write_file_atomic(const std::string& path, std::string_view content) {
+bool write_file_atomic(const std::string& path, std::string_view content,
+                       bool durable) {
   const std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "w");
   if (!file) return false;
   const std::size_t written =
       std::fwrite(content.data(), 1, content.size(), file);
-  if (written != content.size() || std::fflush(file) != 0) {
-    std::fclose(file);
+  bool ok = written == content.size() && std::fflush(file) == 0 &&
+            (!durable || ::fdatasync(::fileno(file)) == 0);
+  ok = std::fclose(file) == 0 && ok;
+  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }
-  if (std::fclose(file) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  if (!durable) return true;
+  // The rename is durable only once the directory entry is.
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash);
+  const int fd = ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool synced = ::fsync(fd) == 0;
+  ::close(fd);
+  return synced;
 }
 
 bool MetricsRegistry::dump_json(const std::string& path) const {

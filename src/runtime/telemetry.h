@@ -22,11 +22,16 @@
 namespace vmcw {
 
 /// Write `content` to `path` through a `.tmp` sibling + rename(2), so a
-/// reader — or a crash mid-write — never observes a truncated file: `path`
-/// is either its previous complete content or the new one. Returns false
-/// on I/O failure (the temp file is cleaned up). Telemetry sidecars and
-/// bench figure/table outputs all write through this.
-bool write_file_atomic(const std::string& path, std::string_view content);
+/// reader — or a process crash mid-write — never observes a truncated
+/// file: `path` is either its previous complete content or the new one.
+/// Returns false on I/O failure (the temp file is cleaned up). Telemetry
+/// sidecars, reports, the ingest health file and bench figure/table
+/// outputs all write through this without `durable`. With `durable` the
+/// temp file is fdatasync'd before the rename and the parent directory
+/// fsync'd after it, so the new content also survives a power loss
+/// (controller snapshots, service/snapshot).
+bool write_file_atomic(const std::string& path, std::string_view content,
+                       bool durable = false);
 
 /// Thread-safe registry of named counters and histograms.
 class MetricsRegistry {

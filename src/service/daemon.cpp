@@ -113,14 +113,15 @@ Daemon::OpenResult Daemon::open() {
 }
 
 DecisionBatchFrame Daemon::ingest(const Frame& frame) {
-  wal_.append(frame, options_.durable);
+  if (!wal_.append(frame, options_.durable))
+    throw std::runtime_error("Daemon: WAL append failed; frame not applied");
   return apply(frame, /*emit=*/true);
 }
 
-void Daemon::append_many(const std::vector<Frame>& frames) {
-  if (frames.empty()) return;
-  for (const Frame& frame : frames) wal_.append(frame, /*sync=*/false);
-  if (options_.durable) wal_.sync();
+bool Daemon::append_many(const std::vector<Frame>& frames) {
+  for (const Frame& frame : frames)
+    if (!wal_.append(frame, /*sync=*/false)) return false;
+  return !options_.durable || frames.empty() || wal_.sync();
 }
 
 DecisionBatchFrame Daemon::apply_frame(const Frame& frame) {
@@ -136,8 +137,8 @@ DecisionBatchFrame Daemon::apply(const Frame& frame, bool emit) {
     ++batches_total_;
     if (batches_skipped_ > 0)
       --batches_skipped_;  // already durable from before the crash
-    else if (emit)
-      decisions_.append(batch, options_.durable);
+    else if (emit && !decisions_.append(batch, options_.durable))
+      throw std::runtime_error("Daemon: decision log append failed");
     count_batch(stats_, batch);
     return batch;
   }
@@ -175,11 +176,12 @@ bool Daemon::write_snapshot_now() {
   return true;
 }
 
-void Daemon::close() {
-  wal_.sync();
-  decisions_.sync();
+bool Daemon::close() {
+  const bool wal_synced = wal_.sync();
+  const bool decisions_synced = decisions_.sync();
   wal_.close();
   decisions_.close();
+  return wal_synced && decisions_synced;
 }
 
 DaemonStats replay_wal(const std::string& wal_path,
@@ -209,14 +211,15 @@ DaemonStats replay_wal(const std::string& wal_path,
       DecisionBatchFrame batch = controller.tick(flush->tick);
       if (skip > 0)
         --skip;
-      else
-        decisions.append(batch, durable);
+      else if (!decisions.append(batch, durable))
+        throw std::runtime_error("replay_wal: decision log append failed");
       count_batch(stats, batch);
     } else {
       controller.apply(frame);
     }
   }
-  decisions.sync();
+  if (!decisions.sync())
+    throw std::runtime_error("replay_wal: decision log sync failed");
   decisions.close();
   return stats;
 }

@@ -111,17 +111,22 @@ class Daemon {
 
   /// WAL-first ingestion of one frame. Flush frames run the controller
   /// tick and append the batch to the decision log. Requires open().
+  /// Throws std::runtime_error, without applying the frame, when its WAL
+  /// append fails, and when a decision batch cannot be appended.
   DecisionBatchFrame ingest(const Frame& frame);
 
   /// Batched WAL-first ingestion, step 1: append every frame, then issue
   /// one fdatasync for the whole batch — the writer thread's amortization
-  /// (one sync per queue drain instead of one per frame). Callers apply
-  /// the frames afterwards via apply_frame(), acking only once this has
-  /// returned (the cumulative Ack needs the durability, not the apply).
-  void append_many(const std::vector<Frame>& frames);
+  /// (one sync per queue drain instead of one per frame). Returns whether
+  /// the whole run is durable (written, and synced when Options::durable).
+  /// Callers apply the frames afterwards via apply_frame(), acking only
+  /// once this returned true (the cumulative Ack needs the durability, not
+  /// the apply); after false the WAL is closed and no frame of the run may
+  /// be applied or acked.
+  bool append_many(const std::vector<Frame>& frames);
 
   /// Batched ingestion, step 2: feed one already-durable frame to the
-  /// controller (identical to the apply half of ingest()).
+  /// controller (identical to the apply half of ingest(), throws alike).
   DecisionBatchFrame apply_frame(const Frame& frame);
 
   /// Checkpoint now if the cadence (frames or seconds) says so. Callers
@@ -143,7 +148,8 @@ class Daemon {
     marks_provider_ = std::move(provider);
   }
 
-  void close();
+  /// Sync and close both logs; false when either sync failed.
+  bool close();
 
   const IncrementalController& controller() const noexcept {
     return controller_;
@@ -172,8 +178,9 @@ class Daemon {
   /// detector's recovery probe. While every incoming data frame is being
   /// rejected, nothing would otherwise measure the disk, so the ingest
   /// writer probes before each shed rejection and recovers the moment a
-  /// probe comes back under the recovery threshold.
-  void probe_wal() { wal_.sync(); }
+  /// probe comes back under the recovery threshold. False when the sync
+  /// failed, which closes the WAL.
+  bool probe_wal() { return wal_.sync(); }
 
  private:
   DecisionBatchFrame apply(const Frame& frame, bool emit);

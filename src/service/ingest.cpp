@@ -73,6 +73,10 @@ bool is_data_kind(FrameKind kind) noexcept {
          kind == FrameKind::kVmArrival || kind == FrameKind::kVmDeparture;
 }
 
+[[noreturn]] void throw_not_durable() {
+  throw std::runtime_error("ingest: WAL append or sync failed");
+}
+
 bool is_control_kind(FrameKind kind) noexcept {
   return kind == FrameKind::kHeartbeat || kind == FrameKind::kFlush ||
          kind == FrameKind::kShutdown;
@@ -217,7 +221,9 @@ void IngestServer::update_shed_state() {
 //     — the cumulative Ack means per-frame syncs bought nothing;
 //  3. only now advance the real marks, apply each frame to the controller
 //     in the same order, and emit the deferred Acks. An Ack{s} still
-//     implies everything <= s from that peer is durable.
+//     implies everything <= s from that peer is durable. When the run is
+//     not durable, phase 3 never runs: the batch throws and the writer
+//     stops (writer_loop).
 //
 // Then the snapshot cadence check and the liveness heartbeat, both at the
 // batch boundary: every durable frame has been applied and is covered by
@@ -333,7 +339,7 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
         // Nothing is appending while we shed, so nothing would re-measure
         // the disk: probe it (an fsync with no append) and accept this
         // frame after all if the stall has cleared.
-        daemon_.probe_wal();
+        if (!daemon_.probe_wal()) throw_not_durable();
         update_shed_state();
         MutexLock lk(stats_mutex_);
         shed = shedding_;
@@ -381,7 +387,7 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
   for (const Accepted& acc : accepted)
     if (acc.append) to_append.push_back(acc.frame);
   if (!to_append.empty()) {
-    daemon_.append_many(to_append);
+    if (!daemon_.append_many(to_append)) throw_not_durable();
     update_shed_state();
     MutexLock lk(stats_mutex_);
     ++stats_.wal_batches;
@@ -437,7 +443,17 @@ void IngestServer::writer_loop() {
     batch.clear();
     batch.push_back(std::move(*item));
     if (cap > 1) queue_.drain(batch, cap - 1);
-    process_batch(batch);
+    try {
+      process_batch(batch);
+    } catch (const std::exception&) {
+      // A WAL append or sync failed, or a decision batch could not be
+      // logged: stop here. Nothing of the failed run and nothing queued
+      // after it is applied or acked, so every Ack sent still names a
+      // durable frame; the restarted daemon recovers from the WAL.
+      failed_.store(true);
+      queue_.close();
+      break;
+    }
     wake_poll();
   }
   stop_.store(true);

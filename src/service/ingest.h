@@ -39,6 +39,9 @@
 //    the writer probes the WAL (an fsync with no append) before each
 //    rejection, so recovery needs no cooperating traffic; the recover
 //    threshold sits below the shed watermark (hysteresis).
+//  - a failed WAL append or sync stops the server: the writer applies and
+//    acks nothing of that batch or after it, closes the queue, and
+//    failed() reports it, so an Ack always means durable.
 //  - duplicates are safe end to end: re-sent messages (seq <= last ack)
 //    are re-acked without re-appending, and across a daemon crash the
 //    writer seeds a duplicate filter from the recovered WAL frames, so a
@@ -142,8 +145,13 @@ class IngestServer {
              std::uint64_t recovered_shutdowns = 0);
 
   /// Block until the serve run ends: expected_shutdowns Shutdown frames
-  /// ingested, or stop() called.
+  /// ingested, stop() called, or a durability failure (see failed()).
   void wait();
+
+  /// Did the serve run stop because a WAL append or sync, or a decision
+  /// log append, failed? Then nothing of that writer batch or after it was
+  /// applied or acked, and the daemon must restart into recovery.
+  bool failed() const noexcept { return failed_.load(); }
 
   /// Request an orderly stop from any thread (idempotent).
   void stop();
@@ -213,6 +221,7 @@ class IngestServer {
 
   BoundedQueue<IngressItem> queue_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> failed_{false};
 
   mutable Mutex response_mutex_;
   std::vector<Response> responses_ VMCW_GUARDED_BY(response_mutex_);

@@ -1,6 +1,6 @@
 // Adapters binding an IoFaultPlan (chaos/io_faults) onto the service
 // layer's injection surfaces: TransportFaults on the collector side and
-// WalIoHooks under the telemetry WAL. Header-only so that tests and tools
+// WalIoHooks (runtime/record_log) under the telemetry WAL. Header-only so that tests and tools
 // can compose a plan with real sockets and a real daemon without adding a
 // chaos -> service link edge; consumers link vmcw_service and vmcw_chaos
 // themselves.
@@ -49,12 +49,12 @@ class PlannedTransportFaults : public service::TransportFaults {
 /// tests without a slow disk or a real sleep. now() is called once before
 /// and once after each sync; advancing the clock inside sync() makes the
 /// measured latency exactly the injected stall.
-class StallingWalHooks : public service::WalIoHooks {
+class StallingWalHooks : public WalIoHooks {
  public:
   explicit StallingWalHooks(const IoFaultPlan& plan) : plan_(&plan) {}
 
   int sync(int fd) override {
-    const int rc = service::WalIoHooks::sync(fd);
+    const int rc = WalIoHooks::sync(fd);
     clock_ += plan_->fsync_stall(sync_index_++);
     return rc;
   }

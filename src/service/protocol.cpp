@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "runtime/record_log.h"
 #include "runtime/wire.h"
 
 namespace vmcw::service {
@@ -275,15 +276,8 @@ FrameKind frame_kind(const Frame& frame) noexcept {
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   ByteWriter payload;
   std::visit([&](const auto& f) { encode_payload(f, payload); }, frame);
-  const std::vector<std::uint8_t>& body = payload.bytes();
-
-  ByteWriter out;
-  out.u8(static_cast<std::uint8_t>(frame_kind(frame)));
-  out.u64(body.size());
-  out.u64(fnv1a64(body.data(), body.size()));
-  std::vector<std::uint8_t> bytes = out.bytes();
-  bytes.insert(bytes.end(), body.begin(), body.end());
-  return bytes;
+  return encode_record(static_cast<std::uint8_t>(frame_kind(frame)),
+                       payload.bytes());
 }
 
 DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size) {
@@ -312,17 +306,6 @@ Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
   if (!reader.exhausted())
     throw std::runtime_error("protocol: trailing payload bytes");
   return frame;
-}
-
-std::vector<Frame> decode_frames(const std::vector<std::uint8_t>& bytes) {
-  std::vector<Frame> frames;
-  std::size_t at = 0;
-  while (at < bytes.size()) {
-    DecodedFrame d = decode_frame(bytes.data() + at, bytes.size() - at);
-    frames.push_back(std::move(d.frame));
-    at += d.consumed;
-  }
-  return frames;
 }
 
 }  // namespace vmcw::service

@@ -230,8 +230,4 @@ DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size);
 Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
                            std::size_t length);
 
-/// Decode a whole buffer of concatenated frames; throws on the first bad
-/// frame (use decode_frame directly to salvage an intact prefix).
-std::vector<Frame> decode_frames(const std::vector<std::uint8_t>& bytes);
-
 }  // namespace vmcw::service

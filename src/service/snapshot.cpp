@@ -1,12 +1,10 @@
 #include "service/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
+#include "runtime/record_log.h"
+#include "runtime/telemetry.h"
 #include "runtime/wire.h"
 
 namespace vmcw::service {
@@ -66,17 +64,6 @@ bool decode_payload(const std::uint8_t* data, std::size_t size,
   }
 }
 
-/// fsync the directory containing `path` so the rename itself is durable.
-void sync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  const int fd = ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-}
-
 }  // namespace
 
 bool write_snapshot(const std::string& path, std::uint64_t fleet_hash,
@@ -90,19 +77,9 @@ bool write_snapshot(const std::string& path, std::uint64_t fleet_hash,
   header.u64(payload.size());
   header.u64(wire::fnv1a64(payload.data(), payload.size()));
 
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  bool ok = wire::write_all(fd, header.bytes().data(), header.bytes().size()) &&
-            wire::write_all(fd, payload.data(), payload.size()) &&
-            ::fdatasync(fd) == 0;
-  ok = (::close(fd) == 0) && ok;
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  sync_parent_dir(path);
-  return true;
+  std::string bytes(header.bytes().begin(), header.bytes().end());
+  bytes.append(payload.begin(), payload.end());
+  return write_file_atomic(path, bytes, /*durable=*/true);
 }
 
 const char* to_string(SnapshotStatus status) noexcept {
@@ -121,12 +98,9 @@ const char* to_string(SnapshotStatus status) noexcept {
 
 SnapshotStatus read_snapshot(const std::string& path, std::uint64_t fleet_hash,
                              SnapshotData& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return SnapshotStatus::kMissing;
   std::vector<std::uint8_t> bytes;
-  const bool read_ok = wire::read_all(fd, bytes);
-  ::close(fd);
-  if (!read_ok || bytes.size() < kHeaderSize) return SnapshotStatus::kCorrupt;
+  if (!read_file(path, bytes)) return SnapshotStatus::kMissing;
+  if (bytes.size() < kHeaderSize) return SnapshotStatus::kCorrupt;
 
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
     return SnapshotStatus::kCorrupt;

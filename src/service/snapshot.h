@@ -23,9 +23,10 @@
 //     state             u64 length + IncrementalController::save_state bytes
 //     ack_marks         u64 count + (str peer, u64 last_acked) each
 //
-// Writes are atomic: the bytes go to `path + ".tmp"`, are fdatasync'd,
-// and rename(2) publishes them — a crash mid-write leaves either the old
-// snapshot or the new one, never a torn file. A snapshot that fails any
+// Writes are atomic and durable through write_file_atomic (runtime/
+// telemetry): the bytes go to `path + ".tmp"`, are fdatasync'd, rename(2)
+// publishes them and the directory is fsync'd — a crash mid-write leaves
+// either the old snapshot or the new one, never a torn file. A snapshot that fails any
 // validation (magic, version, checksum, fleet hash) is reported as such
 // and the caller falls back to a full WAL replay; a snapshot is an
 // optimization, never an additional source of truth.
@@ -66,7 +67,7 @@ bool write_snapshot(const std::string& path, std::uint64_t fleet_hash,
 
 enum class SnapshotStatus {
   kOk,
-  kMissing,     ///< no file at path
+  kMissing,     ///< no readable file at path
   kCorrupt,     ///< bad magic/version/length/checksum or malformed payload
   kStaleFleet,  ///< valid file, but for a different fleet configuration
 };

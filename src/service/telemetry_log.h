@@ -8,30 +8,25 @@
 // DecisionBatch the controller emits is appended before it is reported, so
 // a SIGKILL between any two batches leaves a resumable prefix.
 //
-// The format extends the sweep-journal idiom (sweep/journal) to an
-// open-ended stream: a header binds the file to one fleet configuration
-// (magic + version + fleet-config hash), and each record is one protocol
-// frame — already kind/length/checksum framed by service/protocol — written
-// with a single write(). Recovery at open():
-//  - header missing/unreadable or fleet hash mismatch: the log is *stale*
-//    (the fleet shape changed); it is truncated and rewritten. Resuming
-//    never mixes streams across fleet configurations.
-//  - a torn tail (partial frame from a crash, or a checksum mismatch): the
-//    tail is truncated away and every intact frame before it is returned.
-//
-// Version 2 headers add a base ordinal — the global frame index of the
-// file's first record — which is what lets SegmentedFrameLog split one
-// logical WAL into sealed segment files (`<base>.segNNNNNN`): the chain is
-// validated by base continuity at open, segments older than the newest
-// durable snapshot are reclaimable (service/snapshot, DESIGN.md §9), and a
-// torn tail is still confined to the newest segment.
-//
-// Reading a log checks every byte once: the scan walks a batch of frame
-// headers, verifies the batch's payload checksums in interleaved FNV-1a
-// lanes, then parses each payload. It keeps exactly the frames a
-// decode_frame loop would, but stores only those at or past the caller's
-// `keep_from` ordinal; a resuming daemon passes its snapshot's coverage, so
-// frames the snapshot already holds are validated and then dropped.
+// Both are thin typed wrappers over the one durable record log
+// (runtime/record_log), which owns the header, the framing, the batched
+// checksum scan, torn-tail truncation and every write and sync. What is
+// left here is the frame WAL's own part:
+//  - the header: magic "VMCWTWL1", version, fleet-config hash; version 2
+//    adds a base ordinal, the global frame index of the file's first
+//    record. A log for another fleet shape is stale and rewritten, so
+//    resuming never mixes streams across fleet configurations.
+//  - the records: one protocol frame each (kinds Hello..Reject), decoded
+//    by service/protocol. Every intact frame is parsed, but a resuming
+//    daemon keeps only those at or past its snapshot's coverage.
+//  - the segment chain (SegmentedFrameLog): one logical WAL split into
+//    sealed version-2 segment files (`<base>.segNNNNNN`), validated by
+//    base continuity at open. Segments older than the newest durable
+//    snapshot are reclaimable (service/snapshot, DESIGN.md §9), and a torn
+//    tail is confined to the newest segment.
+//  - the failure policy: an open that cannot create the file throws; a
+//    failed append or sync returns false and leaves the log closed, which
+//    the daemon turns into a stop (no Ack for a frame that is not durable).
 #pragma once
 
 #include <cstdint>
@@ -39,37 +34,10 @@
 #include <string>
 #include <vector>
 
+#include "runtime/record_log.h"
 #include "service/protocol.h"
-#include "util/thread_annotations.h"
 
 namespace vmcw::service {
-
-/// Pluggable file-I/O + clock surface under FrameLog appends. The default
-/// implementation is the real thing (::write / ::fdatasync / a monotonic
-/// clock); the chaos layer substitutes hooks that inject partial writes,
-/// EINTR, write errors and fsync stalls on a deterministic schedule
-/// (chaos/io_faults), which is how the ingestion path's WAL-stall shedding
-/// is tested without a real slow disk. `now()` is the *only* sanctioned
-/// wall-clock read in the service layer (vmcw_lint.conf): it feeds the
-/// fsync-latency measurement, which is observational (metrics + the shed
-/// watermark) and never reaches decision bytes.
-class WalIoHooks {
- public:
-  virtual ~WalIoHooks() = default;
-
-  /// write(2) semantics: bytes written, or -1 with errno set. May write
-  /// short; FrameLog retries short writes and EINTR.
-  virtual long write_some(int fd, const std::uint8_t* data, std::size_t size);
-
-  /// fdatasync(2) semantics: 0 on success, -1 with errno set.
-  virtual int sync(int fd);
-
-  /// Monotonic seconds; only used to measure sync() latency.
-  virtual double now();
-};
-
-/// The process-default hooks instance (real I/O).
-WalIoHooks& default_wal_io_hooks();
 
 /// Append-side handle on a frame WAL (telemetry input or decision output).
 class FrameLog {
@@ -84,17 +52,11 @@ class FrameLog {
     std::size_t bytes_discarded = 0;  ///< size of the discarded tail
   };
 
-  FrameLog() = default;
-  ~FrameLog();
-
-  FrameLog(const FrameLog&) = delete;
-  FrameLog& operator=(const FrameLog&) = delete;
-
   /// Open (creating if needed) the log at `path` bound to `fleet_hash`.
   /// With `resume`, an existing matching log's intact frames are
   /// recovered; without it — or when the log is stale or unreadable — the
-  /// file is rewritten with a fresh header. Throws std::runtime_error only
-  /// when the path cannot be created at all. `version` selects the header
+  /// file is rewritten with a fresh header. Throws std::runtime_error when
+  /// the file cannot be opened or rewritten. `version` selects the header
   /// layout: 1 is the standalone single-file WAL; 2 stamps `base_ordinal`
   /// (the global index of the file's first frame) for segment-chain files
   /// — SegmentedFrameLog is the only caller that passes 2. Every intact
@@ -102,67 +64,44 @@ class FrameLog {
   /// (base_ordinal + index) is at least `keep_from` are returned.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint32_t version = 1, std::uint64_t base_ordinal = 0,
-                std::uint64_t keep_from = 0) VMCW_EXCLUDES(mutex_);
+                std::uint64_t keep_from = 0);
 
-  bool is_open() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return fd_ >= 0;
-  }
+  bool is_open() const { return log_.is_open(); }
 
   /// Append one frame as a single write(). With `sync` (the default) the
   /// record is fdatasync'd before returning — the WAL-first guarantee;
   /// bulk producers (the churn generator) batch with sync=false and call
-  /// sync() once at the end. Interrupted (EINTR) and short writes are
-  /// retried; a hard write error closes the log rather than risk a torn
-  /// interleave. Every synced append's fsync latency is recorded into
-  /// MetricsRegistry ("service.wal_fsync_seconds") and kept readable via
+  /// sync() once at the end. Returns false when the frame may not be
+  /// durable: the log was closed, or the write or sync failed (which
+  /// closes it). Every sync's latency is recorded into MetricsRegistry
+  /// ("service.wal_fsync_seconds") and kept readable via
   /// last_sync_seconds() — one measurement shared by the telemetry
   /// sidecars and the ingestion stall detector.
-  void append(const Frame& frame, bool sync = true) VMCW_EXCLUDES(mutex_);
+  bool append(const Frame& frame, bool sync = true) {
+    return log_.append(encode_frame(frame), sync);
+  }
 
-  void sync() VMCW_EXCLUDES(mutex_);
-  void close() VMCW_EXCLUDES(mutex_);
+  /// fdatasync every append so far; false as append() reports it.
+  bool sync() { return log_.sync(); }
+  void close() { log_.close(); }
 
   /// Install I/O hooks (nullptr restores the real default). Call before
   /// sharing the log across threads; the pointer itself is unguarded.
-  void set_io_hooks(WalIoHooks* hooks) noexcept {
-    hooks_ = hooks != nullptr ? hooks : &default_wal_io_hooks();
-  }
+  void set_io_hooks(WalIoHooks* hooks) noexcept { log_.set_io_hooks(hooks); }
 
   /// Latency of the most recent fdatasync (seconds); 0 before the first.
   /// The ingestion front-end's WAL-stall detector reads this after every
   /// durable append.
-  double last_sync_seconds() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return last_sync_seconds_;
-  }
+  double last_sync_seconds() const { return log_.last_sync_seconds(); }
 
  private:
   friend class SegmentedFrameLog;
 
-  /// Reopen for append a log file whose intact prefix [0, valid_end) of
-  /// `size` bytes the caller has just scanned, so it is not read again:
-  /// the torn tail past valid_end, if any, is truncated away. Returns false
-  /// when the tail cannot be trimmed; the file is then rewritten empty
-  /// under a fresh header, as open() does.
-  bool reopen_scanned(const std::string& path, std::uint64_t fleet_hash,
-                      std::uint32_t version, std::uint64_t base_ordinal,
-                      std::size_t valid_end, std::size_t size)
-      VMCW_EXCLUDES(mutex_);
+  /// Create or truncate `path` to a fresh header; false when that fails.
+  bool create(const std::string& path, std::uint64_t fleet_hash,
+              std::uint32_t version, std::uint64_t base_ordinal);
 
-  void open_fd_locked(const std::string& path) VMCW_REQUIRES(mutex_);
-  bool trim_locked(std::size_t valid_end, std::size_t size)
-      VMCW_REQUIRES(mutex_);
-  void rewrite_locked(const std::string& path, std::uint64_t fleet_hash,
-                      std::uint32_t version, std::uint64_t base_ordinal)
-      VMCW_REQUIRES(mutex_);
-  void close_locked() VMCW_REQUIRES(mutex_);
-  void sync_locked() VMCW_REQUIRES(mutex_);
-
-  mutable Mutex mutex_;
-  int fd_ VMCW_GUARDED_BY(mutex_) = -1;
-  double last_sync_seconds_ VMCW_GUARDED_BY(mutex_) = 0.0;
-  WalIoHooks* hooks_ = &default_wal_io_hooks();
+  RecordLog log_{"service.wal_fsync_seconds"};
 };
 
 /// A recorded WAL, read without modifying the file (replay mode).
@@ -180,28 +119,6 @@ struct WalContents {
 /// `keep_from` that stores no frames: the caller wants only the counts.
 inline constexpr std::uint64_t kKeepNoFrames =
     std::numeric_limits<std::uint64_t>::max();
-
-/// One frame's place in a byte image, as its header declares it.
-struct FrameExtent {
-  FrameKind kind = FrameKind::kHello;
-  const std::uint8_t* payload = nullptr;
-  std::uint64_t length = 0;    ///< payload bytes
-  std::uint64_t checksum = 0;  ///< FNV-1a 64 the header declares
-};
-
-/// Append to `out` the extents of up to `max_frames` frames from the front
-/// of [data, data+size), stopping before the first whose kind is unknown
-/// or whose payload runs past the buffer (a torn frame). Payloads are not
-/// looked at.
-void walk_frame_extents(const std::uint8_t* data, std::size_t size,
-                        std::size_t max_frames, std::vector<FrameExtent>& out);
-
-/// Index of the first extent whose payload does not hash to its checksum,
-/// or extents.size() when all match — the same answer as a serial
-/// wire::fnv1a64 loop. The hashes run in four interleaved FNV-1a chains,
-/// one frame per chain, so one frame's multiplies overlap another's
-/// instead of each byte waiting on the last.
-std::size_t first_checksum_mismatch(const std::vector<FrameExtent>& extents);
 
 /// Read a frame WAL read-only. Throws std::runtime_error when the file
 /// cannot be read or its header is not a frame WAL; a torn tail is not an
@@ -259,9 +176,10 @@ class SegmentedFrameLog {
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint64_t segment_frames, std::uint64_t keep_from = 0);
 
-  /// Append one frame, rotating first when the active segment is full.
-  void append(const Frame& frame, bool sync = true);
-  void sync() { log_.sync(); }
+  /// Append one frame, rotating first when the active segment is full;
+  /// false as FrameLog::append reports it (a failed rotation too).
+  bool append(const Frame& frame, bool sync = true);
+  bool sync() { return log_.sync(); }
   void close() { log_.close(); }
   bool is_open() const { return log_.is_open(); }
   double last_sync_seconds() const { return log_.last_sync_seconds(); }
@@ -288,7 +206,9 @@ class SegmentedFrameLog {
     std::uint64_t frames = 0;
   };
 
-  void rotate();
+  /// Seal the active segment (fdatasync + close) and start the next;
+  /// false when either step fails, which leaves the log closed.
+  bool rotate();
 
   FrameLog log_;
   std::string path_;

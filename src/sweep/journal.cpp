@@ -1,10 +1,6 @@
 #include "sweep/journal.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstring>
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -17,19 +13,9 @@ namespace {
 using wire::ByteReader;
 using wire::ByteWriter;
 using wire::fnv1a64;
-using wire::load_u32;
-using wire::load_u64;
-using wire::read_all;
-using wire::write_all;
-
-// ------------------------------------------------------------- framing ----
 
 constexpr char kMagic[8] = {'V', 'M', 'C', 'W', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kVersion = 1;
-// magic + version + grid hash + cell count.
-constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8;
-// kind + payload length + payload checksum.
-constexpr std::size_t kRecordHeaderSize = 1 + 8 + 8;
 
 constexpr std::uint8_t kResultRecord = 1;
 constexpr std::uint8_t kAttemptFailedRecord = 2;
@@ -325,145 +311,53 @@ std::uint64_t sweep_grid_hash(std::span<const SweepCell> cells) {
   return fnv1a64(w.bytes().data(), w.bytes().size());
 }
 
-SweepJournal::~SweepJournal() { close(); }
-
-void SweepJournal::close() {
-  MutexLock lk(mutex_);
-  close_locked();
-}
-
-void SweepJournal::close_locked() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
 SweepJournal::Recovery SweepJournal::open(const std::string& path,
                                           std::uint64_t grid_hash,
                                           std::size_t cell_count,
                                           bool resume) {
-  // open() runs before the journal is shared with worker threads, but
-  // holding the lock throughout keeps fd_'s guard unconditional.
-  MutexLock lk(mutex_);
-  close_locked();
+  std::map<std::size_t, SweepCellResult> terminal;
+  std::map<std::size_t, int> attempts;
+  const auto decode = [&](std::uint8_t kind, const std::uint8_t* payload,
+                          std::size_t size) {
+    if (kind == kResultRecord) {
+      SweepCellResult result = decode_result(payload, size);
+      if (result.index >= cell_count)
+        throw std::runtime_error("journal: index out of grid");
+      terminal[result.index] = std::move(result);
+      return;
+    }
+    ByteReader r(payload, size);
+    const std::size_t index = r.u64();
+    const int attempt = static_cast<int>(r.u32());
+    (void)r.u8();   // status
+    (void)r.str();  // error text (kept for post-mortems)
+    if (index >= cell_count)
+      throw std::runtime_error("journal: index out of grid");
+    attempts[index] = std::max(attempts[index], attempt);
+  };
+  const RecordLog::Opened opened =
+      log_.open(path, RecordHeader{kMagic, kVersion, 2, {grid_hash, cell_count}},
+                resume, RecordKinds{kResultRecord, kAttemptFailedRecord},
+                decode);
+
   Recovery rec;
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0)
-    throw std::runtime_error("SweepJournal: cannot open " + path);
-
-  std::vector<std::uint8_t> bytes;
-  const bool readable = read_all(fd_, bytes);
-  const bool header_ok =
-      readable && bytes.size() >= kHeaderSize &&
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0 &&
-      load_u32(bytes.data() + 8) == kVersion &&
-      load_u64(bytes.data() + 12) == grid_hash &&
-      load_u64(bytes.data() + 20) == cell_count;
-
-  if (resume && header_ok) {
-    // Replay intact records; anything from the first bad frame on is the
-    // torn tail of a crash and is truncated away.
-    std::map<std::size_t, SweepCellResult> terminal;
-    std::map<std::size_t, int> attempts;
-    std::size_t off = kHeaderSize;
-    while (off < bytes.size()) {
-      if (bytes.size() - off < kRecordHeaderSize) break;
-      const std::uint8_t kind = bytes[off];
-      const std::uint64_t len = load_u64(bytes.data() + off + 1);
-      const std::uint64_t checksum = load_u64(bytes.data() + off + 9);
-      if ((kind != kResultRecord && kind != kAttemptFailedRecord) ||
-          len > bytes.size() - off - kRecordHeaderSize)
-        break;
-      const std::uint8_t* payload = bytes.data() + off + kRecordHeaderSize;
-      if (fnv1a64(payload, len) != checksum) break;
-      try {
-        if (kind == kResultRecord) {
-          SweepCellResult result = decode_result(payload, len);
-          if (result.index >= cell_count)
-            throw std::runtime_error("journal: index out of grid");
-          terminal[result.index] = std::move(result);
-        } else {
-          ByteReader r(payload, len);
-          const std::size_t index = r.u64();
-          const int attempt = static_cast<int>(r.u32());
-          (void)r.u8();   // status
-          (void)r.str();  // error text (kept for post-mortems)
-          if (index >= cell_count)
-            throw std::runtime_error("journal: index out of grid");
-          attempts[index] = std::max(attempts[index], attempt);
-        }
-      } catch (const std::exception&) {
-        break;  // decodes cleanly or it is the torn tail
-      }
-      off += kRecordHeaderSize + len;
-    }
-    if (off < bytes.size()) {
-      rec.torn_tail = true;
-      rec.bytes_discarded = bytes.size() - off;
-      if (::ftruncate(fd_, static_cast<off_t>(off)) != 0) {
-        // Cannot trim the torn tail: appending would interleave with
-        // garbage, so fall back to a fresh journal.
-        rec.results.clear();
-        rec.torn_tail = false;
-        goto fresh;
-      }
-    }
-    for (auto& [index, result] : terminal) {
-      attempts.erase(index);
-      rec.results.push_back(std::move(result));
-    }
-    for (const auto& [index, attempt] : attempts)
-      rec.attempts_used.emplace_back(index, attempt);
-    ::lseek(fd_, 0, SEEK_END);
-    return rec;
+  rec.stale = opened.stale;
+  rec.torn_tail = opened.torn_tail;
+  rec.bytes_discarded = opened.bytes_discarded;
+  if (!opened.recovered) return rec;
+  // The last terminal record of a cell wins; its attempts are settled.
+  for (auto& [index, result] : terminal) {
+    attempts.erase(index);
+    rec.results.push_back(std::move(result));
   }
-
-fresh:
-  // Not resuming, no journal yet, or a stale one (the grid changed since
-  // it was written): start clean. Stale results are never mixed in.
-  rec.stale = resume && readable && !bytes.empty();
-  rec.results.clear();
-  rec.attempts_used.clear();
-  if (::ftruncate(fd_, 0) != 0 || ::lseek(fd_, 0, SEEK_SET) < 0) {
-    close_locked();
-    return rec;  // journaling disabled; the sweep still runs
-  }
-  ByteWriter header;
-  for (const char c : kMagic) header.u8(static_cast<std::uint8_t>(c));
-  header.u32(kVersion);
-  header.u64(grid_hash);
-  header.u64(cell_count);
-  if (!write_all(fd_, header.bytes().data(), header.bytes().size())) {
-    close_locked();
-    return rec;
-  }
-  ::fdatasync(fd_);
+  for (const auto& [index, attempt] : attempts)
+    rec.attempts_used.emplace_back(index, attempt);
   return rec;
 }
 
-void SweepJournal::append_record(std::uint8_t kind,
-                                 const std::vector<std::uint8_t>& payload) {
-  ByteWriter frame;
-  frame.u8(kind);
-  frame.u64(payload.size());
-  frame.u64(fnv1a64(payload.data(), payload.size()));
-  std::vector<std::uint8_t> record = frame.bytes();
-  record.insert(record.end(), payload.begin(), payload.end());
-
-  MutexLock lk(mutex_);
-  if (fd_ < 0) return;
-  if (!write_all(fd_, record.data(), record.size())) {
-    // A failed append (disk full) must not corrupt what is already
-    // durable: stop journaling, keep computing.
-    close_locked();
-    return;
-  }
-  ::fdatasync(fd_);
-}
-
-void SweepJournal::append_result(const SweepCellResult& result) {
-  append_record(kResultRecord, encode_result(result));
+bool SweepJournal::append_result(const SweepCellResult& result) {
+  return log_.append(encode_record(kResultRecord, encode_result(result)),
+                     /*sync=*/true);
 }
 
 void SweepJournal::append_failed_attempt(std::size_t index, int attempt,
@@ -474,7 +368,7 @@ void SweepJournal::append_failed_attempt(std::size_t index, int attempt,
   w.u32(static_cast<std::uint32_t>(attempt));
   w.u8(static_cast<std::uint8_t>(status));
   w.str(error);
-  append_record(kAttemptFailedRecord, w.bytes());
+  log_.append(encode_record(kAttemptFailedRecord, w.bytes()), /*sync=*/true);
 }
 
 }  // namespace vmcw

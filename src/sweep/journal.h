@@ -2,27 +2,28 @@
 //
 // A production-scale sweep is hours of grid computation; an OOM kill or a
 // preempted container must not forfeit the cells already finished. The
-// journal is an append-only binary file next to the bench's telemetry
-// sidecar: a header binds it to one exact grid (a content hash over every
-// SweepCell — spec, settings, strategy, seed, faults, chaos options — plus
-// the cell count), and each completed SweepCellResult is appended as one
-// length- and checksum-framed record written with a single write() and
-// fdatasync'd, so a record is either fully present or detectably torn.
-//
-// Recovery rules, applied at open():
-//  - header missing/unreadable, or grid hash / cell count mismatch: the
-//    journal is *stale* (the grid was edited since it was written); it is
-//    discarded and rewritten. Resuming never mixes results across grids.
-//  - a torn tail (partial record from a crash mid-append, or a checksum
-//    mismatch): the tail is truncated away and every intact record before
-//    it is replayed. The interrupted cell simply recomputes.
-//
-// Two record kinds keep retries deterministic across crashes: kResult is a
-// cell's terminal outcome (success, planner failure, or a failure that
-// exhausted its retry budget) and is replayed on resume; kAttemptFailed
-// logs one consumed attempt of a cell that will be retried, so a resumed
-// sweep continues the retry count instead of resetting it. An attempt
-// interrupted by the crash itself leaves no record and costs no budget.
+// journal is a thin typed wrapper over the one durable record log
+// (runtime/record_log), which owns the file format, the checksum scan,
+// torn-tail truncation and every write and sync. What is left here:
+//  - the header: magic "VMCWJNL1", version 1, and two binding words, a
+//    content hash over every SweepCell (spec, settings, strategy, seed,
+//    faults, chaos options) and the cell count. A journal for another grid
+//    is stale (the grid was edited since it was written); it is discarded
+//    and rewritten, so resuming never mixes results across grids.
+//  - the records: each completed SweepCellResult is one record, written
+//    with a single write() and fdatasync'd, so it is either fully present
+//    or detectably torn. A torn tail is truncated away on resume and the
+//    interrupted cell simply recomputes.
+//  - the replay policy: two record kinds keep retries deterministic across
+//    crashes. kResult is a cell's terminal outcome (success, planner
+//    failure, or a failure that exhausted its retry budget); the last one
+//    per cell wins. kAttemptFailed logs one consumed attempt of a cell
+//    that will be retried, so a resumed sweep continues the retry count
+//    instead of resetting it. An attempt interrupted by the crash itself
+//    leaves no record and costs no budget.
+//  - the failure policy: a journal that cannot be opened, or whose write
+//    or sync fails, closes, and the sweep runs on unjournaled. Journaling
+//    is a cache of pure computations, so losing it costs time, not results.
 //
 // Replayed cells are byte-identical to recomputed ones because a cell is a
 // pure function of its SweepCell and the serialization round-trips every
@@ -35,8 +36,8 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/record_log.h"
 #include "sweep/sweep.h"
-#include "util/thread_annotations.h"
 
 namespace vmcw {
 
@@ -60,45 +61,36 @@ class SweepJournal {
     std::size_t bytes_discarded = 0;  ///< size of the discarded tail
   };
 
-  SweepJournal() = default;
-  ~SweepJournal();
-
-  SweepJournal(const SweepJournal&) = delete;
-  SweepJournal& operator=(const SweepJournal&) = delete;
-
   /// Open (creating if needed) the journal at `path` for the grid
   /// identified by (grid_hash, cell_count). With `resume`, an existing
   /// matching journal's records are recovered; without it — or when the
   /// journal is stale or unreadable — the file is rewritten with a fresh
-  /// header. Throws std::runtime_error only when the path cannot be
-  /// created at all.
+  /// header. When the file cannot be opened or rewritten the journal stays
+  /// closed (is_open() is false).
   Recovery open(const std::string& path, std::uint64_t grid_hash,
-                std::size_t cell_count, bool resume) VMCW_EXCLUDES(mutex_);
+                std::size_t cell_count, bool resume);
 
-  bool is_open() const VMCW_EXCLUDES(mutex_) {
-    MutexLock lk(mutex_);
-    return fd_ >= 0;
-  }
+  bool is_open() const { return log_.is_open(); }
 
   /// Append a terminal record for one cell. Thread-safe; the record is a
   /// single write() followed by fdatasync, so a crash leaves either no
-  /// trace or a complete, replayable record.
-  void append_result(const SweepCellResult& result);
+  /// trace or a complete, replayable record. Returns whether the record is
+  /// durable; a failed write or sync closes the journal.
+  bool append_result(const SweepCellResult& result);
 
-  /// Append a consumed-attempt record for a cell that will be retried.
+  /// Append a consumed-attempt record for a cell that will be retried. A
+  /// failure closes the journal, so the cell's append_result reports it.
   void append_failed_attempt(std::size_t index, int attempt,
                              CellStatus status, const std::string& error);
 
-  void close() VMCW_EXCLUDES(mutex_);
+  void close() { log_.close(); }
+
+  /// Install I/O hooks (nullptr restores the real default); call before
+  /// the sweep starts.
+  void set_io_hooks(WalIoHooks* hooks) noexcept { log_.set_io_hooks(hooks); }
 
  private:
-  void append_record(std::uint8_t kind,
-                     const std::vector<std::uint8_t>& payload)
-      VMCW_EXCLUDES(mutex_);
-  void close_locked() VMCW_REQUIRES(mutex_);
-
-  mutable Mutex mutex_;
-  int fd_ VMCW_GUARDED_BY(mutex_) = -1;
+  RecordLog log_;
 };
 
 }  // namespace vmcw

@@ -176,7 +176,8 @@ void run_cell(const SweepCell& cell, std::size_t index,
   }
 
   out.wall_seconds = cell_span.stop();
-  if (journal != nullptr) journal->append_result(out);
+  if (journal != nullptr && journal->append_result(out))
+    MetricsRegistry::global().add_counter("sweep.journal.cells_appended");
 }
 
 }  // namespace
@@ -194,6 +195,7 @@ std::vector<SweepCellResult> SweepDriver::run(
 
   // Open the journal (if any) and replay what a previous run finished.
   SweepJournal journal;
+  journal.set_io_hooks(journal_hooks_);
   std::vector<bool> replayed(cells.size(), false);
   std::vector<int> attempts_used(cells.size(), 0);
   if (!options.journal_path.empty()) {
@@ -225,11 +227,6 @@ std::vector<SweepCellResult> SweepDriver::run(
                  results[i]);
       },
       pool_, /*grain=*/1);
-  if (journal_ptr != nullptr)
-    MetricsRegistry::global().add_counter(
-        "sweep.journal.cells_appended",
-        cells.size() - static_cast<std::size_t>(std::count(
-                           replayed.begin(), replayed.end(), true)));
   return results;
 }
 

@@ -20,6 +20,7 @@
 #include "core/emulator.h"
 #include "core/settings.h"
 #include "engine/engine.h"
+#include "runtime/record_log.h"
 #include "runtime/thread_pool.h"
 #include "trace/generator.h"
 
@@ -109,8 +110,12 @@ struct SweepOptions {
 
 class SweepDriver {
  public:
-  /// pool == nullptr uses ThreadPool::global().
-  explicit SweepDriver(ThreadPool* pool = nullptr) : pool_(pool) {}
+  /// pool == nullptr uses ThreadPool::global(). `journal_hooks` (nullptr:
+  /// real I/O) carry the journal's writes and syncs; the chaos layer
+  /// injects write errors and failed syncs through them.
+  explicit SweepDriver(ThreadPool* pool = nullptr,
+                       WalIoHooks* journal_hooks = nullptr)
+      : pool_(pool), journal_hooks_(journal_hooks) {}
 
   /// Cartesian grid in row-major order: specs x settings x strategies x
   /// seeds.
@@ -133,6 +138,7 @@ class SweepDriver {
 
  private:
   ThreadPool* pool_;
+  WalIoHooks* journal_hooks_;
 };
 
 }  // namespace vmcw

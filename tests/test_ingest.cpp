@@ -3,12 +3,20 @@
 // I/O fault plan, the WAL's hooked I/O (EINTR, short writes, injected
 // fsync stalls), and the end-to-end contracts over real Unix sockets —
 // multi-collector chaos runs whose WAL replays byte-identical at any
-// thread count, WAL-stall shedding that never drops an acked frame, and
-// exactly-once WAL semantics across a daemon crash + resume.
+// thread count, WAL-stall shedding that never drops an acked frame,
+// exactly-once WAL semantics across a daemon crash + resume, and the
+// fail-stop on a WAL write or sync error that keeps every Ack durable.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +32,7 @@
 #include "runtime/bounded_queue.h"
 #include "runtime/telemetry.h"
 #include "runtime/thread_pool.h"
+#include "runtime/wire.h"
 #include "service/churn.h"
 #include "service/collector.h"
 #include "service/daemon.h"
@@ -622,6 +631,162 @@ TEST(IngestServer, BadHelloIsAFatalReject) {
   daemon.close();
   EXPECT_GE(server.stats().rejects_sent, 1u);
   EXPECT_EQ(server.stats().messages_ingested, 0u);
+}
+
+// ------------------------------------------------- durability fail-stop
+
+/// Hooks that fail the `nth` write, or the `nth` sync, of the telemetry
+/// WAL and pass everything else through. The WAL's descriptor is the one
+/// its frames are written to: every decision-log append is a whole
+/// DecisionBatch record, which no collector may send. Each successful WAL
+/// sync records the file size it made durable.
+class WalFaultHooks : public WalIoHooks {
+ public:
+  enum class Fault { kWrite, kSync };
+  WalFaultHooks(Fault fault, std::uint64_t nth) : fault_(fault), nth_(nth) {}
+
+  long write_some(int fd, const std::uint8_t* data,
+                  std::size_t size) override {
+    if (data[0] != static_cast<std::uint8_t>(FrameKind::kDecisionBatch))
+      wal_fd_ = fd;
+    if (fd == wal_fd_ && fault_ == Fault::kWrite && ++writes_ == nth_) {
+      errno = EIO;
+      return -1;
+    }
+    return WalIoHooks::write_some(fd, data, size);
+  }
+  int sync(int fd) override {
+    if (fd != wal_fd_) return WalIoHooks::sync(fd);
+    if (fault_ == Fault::kSync && ++syncs_ == nth_) {
+      errno = EIO;
+      return -1;
+    }
+    const int rc = WalIoHooks::sync(fd);
+    struct stat st {};
+    if (rc == 0 && ::fstat(fd, &st) == 0)
+      durable_bytes_ = static_cast<std::size_t>(st.st_size);
+    return rc;
+  }
+
+  std::size_t durable_bytes() const noexcept { return durable_bytes_; }
+
+ private:
+  Fault fault_;
+  std::uint64_t nth_;
+  int wal_fd_ = -1;
+  std::uint64_t writes_ = 0;
+  std::uint64_t syncs_ = 0;
+  std::size_t durable_bytes_ = 0;
+};
+
+/// One raw ingest session with no retries: a Hello, then `frames` as seq
+/// 1..n in a single send, then every response until the server closes the
+/// connection. Returns the highest Ack seq received.
+std::uint64_t raw_session(const std::string& socket_path,
+                          const std::vector<Frame>& frames) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::vector<std::uint8_t> out;
+  const auto envelope = [&out](std::uint64_t seq, const Frame& frame) {
+    wire::ByteWriter w;
+    w.u64(seq);
+    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+    const std::vector<std::uint8_t> bytes = encode_frame(frame);
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  };
+  envelope(0, HelloFrame{kProtocolVersion,
+                         fleet_config_hash(ControllerConfig{}), "raw"});
+  for (std::size_t i = 0; i < frames.size(); ++i) envelope(i + 1, frames[i]);
+  for (std::size_t off = 0; off < out.size();) {
+    const ssize_t n =
+        ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server stopped reading; it may be failing
+    off += static_cast<std::size_t>(n);
+  }
+
+  std::vector<std::uint8_t> in;
+  std::uint8_t buf[4096];
+  pollfd pfd{fd, POLLIN, 0};
+  while (::poll(&pfd, 1, 10000) > 0) {
+    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    if (n <= 0) break;  // closed: the serve run is over
+    in.insert(in.end(), buf, buf + n);
+  }
+  ::close(fd);
+  std::uint64_t acked = 0;
+  for (std::size_t at = 0; at < in.size();) {
+    const DecodedFrame d = decode_frame(in.data() + at, in.size() - at);
+    if (const auto* ack = std::get_if<AckFrame>(&d.frame))
+      acked = std::max(acked, ack->seq);
+    at += d.consumed;
+  }
+  return acked;
+}
+
+TEST(IngestServer, DurabilityFailureStopsAcksAndRestartEqualsReplay) {
+  const auto frames = partition_stream(small_churn(), 1, 4)[0];
+  ASSERT_GT(frames.size(), 60u);
+  const struct {
+    const char* name;
+    WalFaultHooks::Fault fault;
+    std::uint64_t nth;
+  } cases[] = {
+      {"eio_write", WalFaultHooks::Fault::kWrite, 30},
+      {"failed_sync", WalFaultHooks::Fault::kSync, 4},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir =
+        temp_dir((std::string("vmcw_ingest_failstop_") + c.name).c_str());
+    Daemon::Options daemon_options;
+    daemon_options.wal_path = dir + "/live.wal";
+    daemon_options.decisions_path = dir + "/live.decisions";
+    WalFaultHooks hooks(c.fault, c.nth);
+    {
+      Daemon daemon(ControllerConfig{}, daemon_options);
+      daemon.set_io_hooks(&hooks);
+      const auto opened = daemon.open();
+      IngestOptions options;
+      options.unix_path = dir + "/ingest.sock";
+      options.max_batch_frames = 8;  // several syncs before the fault
+      IngestServer server(daemon, options);
+      server.start(opened.wal_frames);
+      const std::uint64_t acked = raw_session(options.unix_path, frames);
+      server.wait();
+      EXPECT_TRUE(server.failed());
+      daemon.close();
+
+      // No Ack passes the last frame durable in the WAL.
+      const std::string durable = dir + "/durable.wal";
+      fs::copy_file(daemon_options.wal_path, durable);
+      fs::resize_file(durable, hooks.durable_bytes());
+      const WalContents wal = read_frame_log(durable);
+      EXPECT_GT(acked, 0u);
+      EXPECT_LT(acked, frames.size());
+      EXPECT_LE(acked, wal.frames.size());
+      EXPECT_EQ(wal.frames,
+                std::vector<Frame>(frames.begin(),
+                                   frames.begin() + static_cast<std::ptrdiff_t>(
+                                                        wal.frames.size())));
+    }
+
+    // A restarted daemon recovers from the WAL, and its decision log is
+    // what a cold replay of that WAL writes.
+    daemon_options.resume = true;
+    Daemon restarted(ControllerConfig{}, daemon_options);
+    restarted.open();
+    EXPECT_TRUE(restarted.close());
+    replay_wal(daemon_options.wal_path, dir + "/replay.decisions",
+               ControllerConfig{}, /*resume=*/false, /*durable=*/false);
+    EXPECT_EQ(file_bytes(daemon_options.decisions_path),
+              file_bytes(dir + "/replay.decisions"));
+  }
 }
 
 TEST(IngestServer, CrashResumeDedupesAlreadyDurableFrames) {

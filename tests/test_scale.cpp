@@ -1,8 +1,7 @@
 // Tests for the fleet-scale planning subsystem (src/scale): the
 // CapacityIndex filter's equivalence with the linear first-fit scan,
-// streaming estate generation's byte-identity with the materialized
-// generator, and sharded emulation's merge identity — including at
-// VMCW_THREADS 1/2/8.
+// and streaming estate generation's byte-identity with the materialized
+// generator.
 
 #include "core/capacity_index.h"
 
@@ -18,7 +17,6 @@
 #include "core/emulator.h"
 #include "core/settings.h"
 #include "runtime/thread_pool.h"
-#include "scale/shard.h"
 #include "scale/streaming_estate.h"
 #include "test_helpers.h"
 #include "topology/failure_domains.h"
@@ -349,173 +347,6 @@ TEST(StreamingEstate, RepeatedAccessHitsCache) {
     for (std::size_t i = 0; i < estate.server_count(); ++i) estate.server(i);
   EXPECT_EQ(estate.block_misses(), 1u);  // 32 servers, one 1024-block
   EXPECT_EQ(estate.servers_generated(), 32u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded emulation: merged reports equal the unsharded replay, at any
-// thread count.
-
-std::string report_fingerprint(const EmulationReport& r) {
-  std::string fp;
-  char buffer[64];
-  auto add = [&](double v) {
-    std::snprintf(buffer, sizeof(buffer), "%a;", v);
-    fp += buffer;
-  };
-  fp += std::to_string(r.eval_hours) + "|" + std::to_string(r.intervals) +
-        "|" + std::to_string(r.provisioned_hosts) + "|";
-  for (auto a : r.active_hosts_per_interval) fp += std::to_string(a) + ",";
-  for (double v : r.host_avg_cpu_util) add(v);
-  for (double v : r.host_peak_cpu_util) add(v);
-  for (double v : r.cpu_contention_samples) add(v);
-  for (double v : r.mem_contention_samples) add(v);
-  fp += "|" + std::to_string(r.hours_with_contention) + "|";
-  for (auto h : r.vm_contention_hours) fp += std::to_string(h) + ",";
-  fp += "|" + std::to_string(r.total_vm_contention_hours);
-  add(r.energy_wh);
-  return fp;
-}
-
-/// A packed scenario with real contention (VMs sized at mean demand, so
-/// bursts overload hosts) and a multi-interval schedule that moves VMs,
-/// plus a power-domain map of `hosts_per_domain`-host domains.
-struct ShardScenario {
-  std::vector<VmWorkload> vms;
-  std::vector<Placement> schedule;
-  StudySettings settings;
-  HostPool pool;
-  FailureDomainMap domains;
-
-  // 300 servers: the aggregate burst peak is several blades' worth of
-  // demand (60 servers' peak is only half a blade — contention would be
-  // impossible), so crammed packing below overloads hosts for real.
-  explicit ShardScenario(int servers = 300, std::size_t hosts_per_domain = 2)
-      : pool(HostPool::uniform(StudySettings{}.target)) {
-    settings = small_settings();
-    vms = small_fleet(servers);
-    const std::size_t n = vms.size();
-    std::vector<ResourceVector> sizes(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto cpu = vms[i].cpu_rpe2.samples();
-      const auto mem = vms[i].mem_mb.samples();
-      double cpu_sum = 0, mem_sum = 0;
-      for (double v : cpu) cpu_sum += v;
-      for (double v : mem) mem_sum += v;
-      // Pack by a small fraction of mean demand: the replayed demand then
-      // overloads hosts routinely, so contention-sample merging is
-      // genuinely exercised (both CPU bursts and steady memory pressure).
-      sizes[i] = {0.15 * cpu_sum / static_cast<double>(cpu.size()),
-                  0.15 * mem_sum / static_cast<double>(mem.size())};
-    }
-    const auto packed =
-        ffd_pack(sizes, pool, settings.static_utilization_bound,
-                 ConstraintSet(n));
-    Placement base = packed->placement;
-    // Second placement: rotate every VM one host to the right, so interval
-    // transitions exercise the per-interval rebuild in every shard.
-    const std::size_t bound = base.host_index_bound();
-    Placement rotated(n);
-    for (std::size_t vm = 0; vm < n; ++vm)
-      rotated.assign(vm, static_cast<std::int32_t>(
-                             (static_cast<std::size_t>(base.host_of(vm)) + 1) %
-                             (bound + 1)));
-    for (std::size_t i = 0; i < settings.intervals(); ++i)
-      schedule.push_back(i % 2 == 0 ? base : rotated);
-    for (std::size_t h = 0; h <= bound + 1; ++h)
-      domains.assign(h, /*rack=*/static_cast<std::int32_t>(h),
-                     /*power_domain=*/static_cast<std::int32_t>(
-                         h / hosts_per_domain));
-  }
-};
-
-TEST(ShardedEmulation, MatchesUnshardedReplay) {
-  ShardScenario s;
-  const EmulationReport whole =
-      emulate(s.vms, s.schedule, s.settings, true, s.pool);
-  ShardingOptions options;
-  options.max_shards = 4;
-  const EmulationReport sharded = emulate_sharded(
-      s.vms, s.schedule, s.settings, true, s.pool, s.domains, options);
-
-  // The scenario must actually exercise the merge paths.
-  ASSERT_FALSE(whole.cpu_contention_samples.empty());
-  ASSERT_GT(whole.total_vm_contention_hours, 0u);
-
-  EXPECT_EQ(sharded.eval_hours, whole.eval_hours);
-  EXPECT_EQ(sharded.intervals, whole.intervals);
-  EXPECT_EQ(sharded.provisioned_hosts, whole.provisioned_hosts);
-  EXPECT_EQ(sharded.active_hosts_per_interval,
-            whole.active_hosts_per_interval);
-  EXPECT_EQ(sharded.host_avg_cpu_util, whole.host_avg_cpu_util);
-  EXPECT_EQ(sharded.host_peak_cpu_util, whole.host_peak_cpu_util);
-  EXPECT_EQ(sharded.cpu_contention_samples, whole.cpu_contention_samples);
-  EXPECT_EQ(sharded.mem_contention_samples, whole.mem_contention_samples);
-  EXPECT_EQ(sharded.hours_with_contention, whole.hours_with_contention);
-  EXPECT_EQ(sharded.vm_contention_hours, whole.vm_contention_hours);
-  EXPECT_EQ(sharded.total_vm_contention_hours,
-            whole.total_vm_contention_hours);
-  // energy_wh is the one field whose floating-point fold is grouped per
-  // shard; equal up to accumulation rounding.
-  EXPECT_NEAR(sharded.energy_wh, whole.energy_wh,
-              1e-9 * std::abs(whole.energy_wh));
-}
-
-TEST(ShardedEmulation, SingleShardWhenNoDomainBoundaries) {
-  ShardScenario s;
-  const FailureDomainMap empty_map;
-  const EmulationReport whole =
-      emulate(s.vms, s.schedule, s.settings, true, s.pool);
-  const EmulationReport sharded =
-      emulate_sharded(s.vms, s.schedule, s.settings, true, s.pool, empty_map);
-  // One shard: even the energy fold is grouped identically.
-  EXPECT_EQ(report_fingerprint(sharded), report_fingerprint(whole));
-}
-
-TEST(ShardedEmulation, IdenticalAtAnyThreadCount) {
-  ShardScenario s;
-  ShardingOptions options;
-  options.max_shards = 8;
-  std::string reference;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    ScopedPoolOverride scope(pool);
-    const EmulationReport report = emulate_sharded(
-        s.vms, s.schedule, s.settings, true, s.pool, s.domains, options);
-    const std::string fp = report_fingerprint(report);
-    if (reference.empty())
-      reference = fp;
-    else
-      EXPECT_EQ(fp, reference) << "at " << threads << " threads";
-  }
-  EXPECT_FALSE(reference.empty());
-}
-
-TEST(ShardPlan, CutsOnlyAtDomainBoundaries) {
-  FailureDomainMap domains;
-  for (std::size_t h = 0; h < 100; ++h)
-    domains.assign(h, static_cast<std::int32_t>(h / 10),
-                   static_cast<std::int32_t>(h / 10));
-  ShardingOptions options;
-  options.max_shards = 4;
-  const auto edges = plan_shards(domains, 100, options);
-  ASSERT_GE(edges.size(), 2u);
-  EXPECT_EQ(edges.front(), 0u);
-  EXPECT_EQ(edges.back(), 100u);
-  EXPECT_LE(edges.size() - 1, options.max_shards);
-  EXPECT_GT(edges.size() - 1, 1u) << "boundaries exist, plan should use them";
-  for (std::size_t i = 1; i + 1 < edges.size(); ++i) {
-    EXPECT_NE(domains.domain_of(edges[i] - 1, options.boundary),
-              domains.domain_of(edges[i], options.boundary))
-        << "cut at " << edges[i] << " splits a domain";
-  }
-}
-
-TEST(ShardPlan, UnassignedMapYieldsOneShard) {
-  const FailureDomainMap domains;
-  const auto edges = plan_shards(domains, 50);
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[0], 0u);
-  EXPECT_EQ(edges[1], 50u);
 }
 
 }  // namespace

@@ -140,7 +140,13 @@ TEST(Protocol, DecodesConcatenatedStream) {
     const auto one = encode_frame(frame);
     bytes.insert(bytes.end(), one.begin(), one.end());
   }
-  EXPECT_EQ(decode_frames(bytes), frames);
+  std::vector<Frame> decoded;
+  for (std::size_t at = 0; at < bytes.size();) {
+    DecodedFrame d = decode_frame(bytes.data() + at, bytes.size() - at);
+    decoded.push_back(std::move(d.frame));
+    at += d.consumed;
+  }
+  EXPECT_EQ(decoded, frames);
 }
 
 TEST(Protocol, RejectsTruncatedFrame) {
@@ -271,8 +277,9 @@ std::size_t serial_first_bad(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::size_t batched_first_bad(const std::vector<std::uint8_t>& bytes) {
-  std::vector<FrameExtent> extents;
-  walk_frame_extents(bytes.data(), bytes.size(), bytes.size(), extents);
+  std::vector<RecordExtent> extents;
+  walk_record_extents(bytes.data(), bytes.size(), RecordKinds{1, 10},
+                      bytes.size(), extents);
   return first_checksum_mismatch(extents);
 }
 
@@ -787,55 +794,3 @@ TEST(ControllerCompaction, SnapshotHoldingADepartedSlotResumesIdentically) {
 
 }  // namespace
 }  // namespace vmcw::service
-
-// ----------------------------------------------------- engine entry points
-
-namespace vmcw {
-namespace {
-
-TEST(EngineOnline, AdmitOneVmLeavesResidentsInPlace) {
-  const auto spec = scaled_down(banking_spec(), 24, 168);
-  ConsolidationEngine::Config config;
-  config.settings = testing::small_settings();
-  ConsolidationEngine engine(config);
-  engine.observe(generate_datacenter(spec, 42));
-
-  const auto rec = engine.recommend(Strategy::kSemiStatic);
-  ASSERT_TRUE(rec.has_value());
-  const Placement& residents = rec->schedule.back();
-  const std::size_t n = residents.vm_count();
-
-  const VmWorkload newcomer = testing::constant_vm("newcomer", 0.5, 512, 168);
-  const auto admission = engine.admit_one_vm(*rec, newcomer);
-  ASSERT_TRUE(admission.has_value());
-  ASSERT_EQ(admission->placement.vm_count(), n + 1);
-  EXPECT_EQ(admission->placement.host_of(n),
-            static_cast<std::int32_t>(admission->host));
-  for (std::size_t vm = 0; vm < n; ++vm)
-    EXPECT_EQ(admission->placement.host_of(vm), residents.host_of(vm));
-}
-
-TEST(EngineOnline, PartialReplanAccountsItsMoves) {
-  const auto spec = scaled_down(banking_spec(), 24, 168);
-  ConsolidationEngine::Config config;
-  config.settings = testing::small_settings();
-  ConsolidationEngine engine(config);
-  engine.observe(generate_datacenter(spec, 42));
-
-  auto rec = engine.recommend(Strategy::kSemiStatic);
-  ASSERT_TRUE(rec.has_value());
-  const std::size_t migrations_before = rec->total_migrations;
-
-  const RepairOutcome outcome =
-      engine.partial_replan(*rec, /*hour=*/0, /*drain_below=*/0.5);
-  EXPECT_EQ(rec->total_migrations,
-            migrations_before + outcome.repair_moves.size() +
-                outcome.drain_moves.size());
-  // Every VM is still placed after the in-place repair.
-  const Placement& placed = rec->schedule.back();
-  for (std::size_t vm = 0; vm < placed.vm_count(); ++vm)
-    EXPECT_NE(placed.host_of(vm), Placement::kUnplaced);
-}
-
-}  // namespace
-}  // namespace vmcw

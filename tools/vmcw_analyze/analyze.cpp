@@ -481,8 +481,8 @@ FileIndex index_file(std::string_view path, std::string_view content,
     if (what.empty()) continue;
     add(idx.write_sites, path, tok.line, kRuleWrite,
         cat("raw durable write via '", what,
-            "'; durable bytes must flow through write_file_atomic, the "
-            "telemetry log, the sweep journal, or service/snapshot"));
+            "'; durable bytes must flow through write_file_atomic or "
+            "runtime/record_log"));
   }
   return idx;
 }

@@ -26,11 +26,13 @@
 //                        compiled into the include graph: a lower-tier file
 //                        including a higher-tier module is a back-edge, and
 //                        file-level include cycles are always fatal.
-//   durable-write        Durable bytes flow only through the sanctioned
-//                        idioms (write_file_atomic, service/telemetry_log,
-//                        the sweep journal, service/snapshot); a raw
-//                        std::ofstream / fopen / ::write / ::open anywhere
-//                        else is a violation.
+//   durable-write        Durable bytes flow only through the two
+//                        sanctioned primitives: write_file_atomic (whole
+//                        files; snapshots ask it for durability) and
+//                        runtime/record_log (the sweep journal, the frame
+//                        WAL and the decision log); a raw std::ofstream /
+//                        fopen / ::write / ::open anywhere else is a
+//                        violation.
 //
 // Plus one meta rule that keeps the shared allowlist honest:
 //

@@ -83,7 +83,14 @@ int serve(Daemon::Options daemon_options, const IngestOptions& ingest_options) {
   std::fprintf(stderr, "listening on %s\n",
                ingest_options.unix_path.c_str());
   server.wait();
-  daemon.close();
+  const bool synced = daemon.close();
+  if (server.failed() || !synced) {
+    // Every Ack sent named a durable frame; the rest is the restart's job.
+    std::fprintf(stderr, "vmcw_daemon: a WAL or decision-log write or sync "
+                         "failed; stopped without acking the frames it "
+                         "could not make durable\n");
+    return 1;
+  }
 
   const IngestStats in = server.stats();
   const DaemonStats& stats = daemon.stats();
@@ -108,8 +115,13 @@ int gen_wal(const std::string& path, const ChurnOptions& churn) {
   const auto frames = generate_churn(churn, config);
   FrameLog wal;
   wal.open(path, fleet_config_hash(config), /*resume=*/false);
-  for (const Frame& frame : frames) wal.append(frame, /*sync=*/false);
-  wal.sync();
+  bool written = true;
+  for (const Frame& frame : frames)
+    written = written && wal.append(frame, /*sync=*/false);
+  if (!written || !wal.sync()) {
+    std::fprintf(stderr, "vmcw_daemon: cannot write %s\n", path.c_str());
+    return 1;
+  }
   wal.close();
   std::printf("wrote %zu frames to %s (vms=%zu ticks=%zu seed=%llu)\n",
               frames.size(), path.c_str(), churn.initial_vms, churn.ticks,
