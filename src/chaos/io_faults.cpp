@@ -8,20 +8,6 @@ namespace vmcw {
 
 namespace {
 
-/// Stateless mix of the plan seed with a fault coordinate (the
-/// fault_plan hashed_uniform idiom): pure, so the same (seed, collector,
-/// message, salt) always yields the same draw with no shared generator.
-double hashed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                      std::uint64_t salt) noexcept {
-  std::uint64_t state = seed;
-  state += 0x9e3779b97f4a7c15ULL * (a + 1);
-  state += 0xbf58476d1ce4e5b9ULL * (b + 1);
-  state += 0x94d049bb133111ebULL * (salt + 1);
-  std::uint64_t x = splitmix64(state);
-  x = splitmix64(state);
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
 double clamp_rate(double r) noexcept {
   return std::clamp(r, 0.0, 1.0);
 }

@@ -8,20 +8,6 @@ namespace vmcw {
 
 namespace {
 
-/// The fault_plan hashed_uniform idiom: a stateless mix of the plan seed
-/// with a fault coordinate, so the same (seed, run) always yields the same
-/// kill time with no shared generator.
-double hashed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                      std::uint64_t salt) noexcept {
-  std::uint64_t state = seed;
-  state += 0x9e3779b97f4a7c15ULL * (a + 1);
-  state += 0xbf58476d1ce4e5b9ULL * (b + 1);
-  state += 0x94d049bb133111ebULL * (salt + 1);
-  std::uint64_t x = splitmix64(state);
-  x = splitmix64(state);
-  return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
 constexpr std::uint64_t kSaltKillTime = 0x51C4ull;
 
 }  // namespace

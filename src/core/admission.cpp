@@ -11,15 +11,6 @@ namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-double normalized_load(const ResourceVector& load,
-                       const ResourceVector& capacity) {
-  const double cpu =
-      capacity.cpu_rpe2 > 0 ? load.cpu_rpe2 / capacity.cpu_rpe2 : 0.0;
-  const double mem =
-      capacity.memory_mb > 0 ? load.memory_mb / capacity.memory_mb : 0.0;
-  return std::max(cpu, mem);
-}
-
 bool frozen_at(std::span<const std::uint8_t> frozen, std::size_t host) {
   return host < frozen.size() && frozen[host] != 0;
 }

@@ -7,27 +7,14 @@
 
 namespace vmcw {
 
-namespace {
-
-double normalized_key(const ResourceVector& size,
-                      const ResourceVector& capacity) {
-  const double cpu = capacity.cpu_rpe2 > 0 ? size.cpu_rpe2 / capacity.cpu_rpe2
-                                           : 0.0;
-  const double mem =
-      capacity.memory_mb > 0 ? size.memory_mb / capacity.memory_mb : 0.0;
-  return std::max(cpu, mem);
-}
-
-}  // namespace
-
 std::vector<std::size_t> decreasing_size_order(
     std::span<const ResourceVector> sizes, const ResourceVector& capacity) {
   std::vector<std::size_t> order(sizes.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return normalized_key(sizes[a], capacity) >
-                            normalized_key(sizes[b], capacity);
+                     return normalized_load(sizes[a], capacity) >
+                            normalized_load(sizes[b], capacity);
                    });
   return order;
 }

@@ -77,15 +77,6 @@ PredictedSizes predict_sizes(std::span<const VmWorkload> vms,
   return sizes;
 }
 
-double normalized_load(const ResourceVector& load,
-                       const ResourceVector& capacity) {
-  const double cpu =
-      capacity.cpu_rpe2 > 0 ? load.cpu_rpe2 / capacity.cpu_rpe2 : 0.0;
-  const double mem =
-      capacity.memory_mb > 0 ? load.memory_mb / capacity.memory_mb : 0.0;
-  return std::max(cpu, mem);
-}
-
 /// One interval's incremental adaptation.
 class IntervalAdapter {
  public:

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/binpack.h"
+#include "core/admission.h"
 
 namespace vmcw {
 
@@ -45,35 +45,28 @@ std::optional<EvacuationPlan> plan_evacuation(
                             demands[b].cpu_rpe2 + demands[b].memory_mb;
                    });
 
+  // Targets: the surviving hosts that already run VMs — maintenance should
+  // not power servers back on — minus the unavailable ones and any index
+  // past a bounded pool.
+  std::vector<std::uint8_t> frozen(host_bound, 1);
+  for (std::size_t vm = 0; vm < current.vm_count(); ++vm)
+    if (current.is_placed(vm))
+      frozen[static_cast<std::size_t>(current.host_of(vm))] = 0;
+  for (std::size_t h = 0; h < host_bound; ++h)
+    if ((h < options.unavailable_hosts.size() &&
+         options.unavailable_hosts[h] != 0) ||
+        !pool.valid_host(h))
+      frozen[h] = 1;
+
+  AdmissionOptions admission;
+  admission.exclude_host = host;
+  admission.frozen_hosts = frozen;
+  admission.open_new_hosts = false;
   for (std::size_t vm : evacuees) plan.after.unassign(vm);
-  for (std::size_t vm : evacuees) {
-    bool placed = false;
-    for (std::size_t h = 0; h < host_bound && !placed; ++h) {
-      if (static_cast<std::int32_t>(h) == host) continue;
-      if (h < options.unavailable_hosts.size() &&
-          options.unavailable_hosts[h] != 0)
-        continue;
-      if (load[h].cpu_rpe2 == 0 && load[h].memory_mb == 0) {
-        // Skip hosts that were empty before the drain: maintenance should
-        // not power servers back on.
-        bool was_used = false;
-        for (std::size_t other = 0; other < current.vm_count(); ++other)
-          if (current.is_placed(other) &&
-              current.host_of(other) == static_cast<std::int32_t>(h))
-            was_used = true;
-        if (!was_used) continue;
-      }
-      if (!pool.valid_host(h)) continue;
-      const auto capacity = pool.capacity_of(h, options.destination_bound);
-      if (!(load[h] + demands[vm]).fits_within(capacity)) continue;
-      if (!constraints.allows(vm, static_cast<std::int32_t>(h), plan.after))
-        continue;
-      plan.after.assign(vm, static_cast<std::int32_t>(h));
-      load[h] += demands[vm];
-      placed = true;
-    }
-    if (!placed) return std::nullopt;
-  }
+  for (std::size_t vm : evacuees)
+    if (!admit_one(vm, demands[vm], load, pool, options.destination_bound,
+                   constraints, plan.after, admission))
+      return std::nullopt;
 
   plan.jobs = migration_jobs(current, plan.after, vms, hour,
                              options.migration);

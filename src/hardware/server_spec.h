@@ -8,6 +8,7 @@
 // "Elite" blade the paper cites: 2 sockets, 128 GB, RPE2/GB ratio of 160.
 #pragma once
 
+#include <algorithm>
 #include <string>
 
 namespace vmcw {
@@ -66,5 +67,17 @@ struct ResourceVector {
 
   bool operator==(const ResourceVector&) const = default;
 };
+
+/// The larger of `load`'s two shares of `capacity` (a zero capacity
+/// dimension counts 0): the one-number size the packers order VMs and hosts
+/// by. Inline, so the planners' hot loops keep it inlined.
+inline double normalized_load(const ResourceVector& load,
+                              const ResourceVector& capacity) noexcept {
+  const double cpu =
+      capacity.cpu_rpe2 > 0 ? load.cpu_rpe2 / capacity.cpu_rpe2 : 0.0;
+  const double mem =
+      capacity.memory_mb > 0 ? load.memory_mb / capacity.memory_mb : 0.0;
+  return std::max(cpu, mem);
+}
 
 }  // namespace vmcw

@@ -33,42 +33,27 @@ StreamingEstate::StreamingEstate(WorkloadSpec spec, std::uint64_t seed,
   Rng fleet_rng = master_.fork("fleet-events");
   fleet_bursts_ = generate_fleet_events(spec_, fleet_rng);
 
-  // Plan pass: generate_datacenter's pass 1 with the burst-train draws
-  // elided. Each app's size and class come off its own keyed stream, so
-  // stopping early on that stream is invisible to every other draw.
+  // Plan pass: generate_datacenter's pass 1 without the context draws.
+  // Each app's size and class come off its own keyed stream, so stopping
+  // early on that stream is invisible to every other draw.
   const int target = std::max(spec_.num_servers, 0);
   int produced = 0;
-  int app_index = 0;
   while (produced < target) {
-    const std::string app_id = spec_.name + "-app-" + std::to_string(app_index);
-    Rng app_rng = master_.fork(app_id);
-    const int max_size =
-        std::max(static_cast<int>(2.0 * spec_.app_size_mean) - 1, 1);
-    const int app_size = std::min<int>(
-        static_cast<int>(app_rng.uniform_int(1, max_size)), target - produced);
+    const AppDraw app = draw_app(spec_, master_, apps_.size());
     AppSpan span;
     span.first_server = static_cast<std::size_t>(produced);
-    span.servers = static_cast<std::size_t>(app_size);
-    span.klass = app_rng.bernoulli(spec_.web_fraction) ? WorkloadClass::kWeb
-                                                       : WorkloadClass::kBatch;
+    span.servers =
+        static_cast<std::size_t>(std::min(app.size, target - produced));
+    span.klass = app.klass;
     apps_.push_back(span);
-    produced += app_size;
-    ++app_index;
+    produced += static_cast<int>(span.servers);
   }
   server_count_ = static_cast<std::size_t>(produced);
 }
 
 AppContext StreamingEstate::app_context(std::size_t app) const {
-  const AppSpan& span = apps_[app];
-  const std::string app_id = spec_.name + "-app-" + std::to_string(app);
-  Rng app_rng = master_.fork(app_id);
-  // Replay the two plan-pass draws so the context draws that follow land on
-  // the same stream positions generate_datacenter used.
-  const int max_size =
-      std::max(static_cast<int>(2.0 * spec_.app_size_mean) - 1, 1);
-  (void)app_rng.uniform_int(1, max_size);
-  (void)app_rng.bernoulli(spec_.web_fraction);
-  return make_app_context(spec_, span.klass, app_rng, fleet_bursts_);
+  AppDraw draw = draw_app(spec_, master_, app);
+  return make_app_context(spec_, apps_[app].klass, draw.rng, fleet_bursts_);
 }
 
 const ServerTrace& StreamingEstate::server(std::size_t index) {

@@ -1,5 +1,6 @@
 #include "service/collector.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -30,30 +31,42 @@ std::vector<std::uint8_t> envelope(std::uint64_t seq, const Frame& frame) {
   return bytes;
 }
 
-int connect_unix(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return -1;
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    return -1;
+// One bounded connect attempt. The socket connects non-blocking: a TCP
+// connect still in progress gets response_timeout_ms to finish, and a
+// Unix-domain listener whose backlog is full (EAGAIN) fails the attempt
+// instead of blocking in the kernel until the server accepts. Returns a
+// connected, blocking descriptor, or -1.
+int connect_bounded(const CollectorOptions& options) {
+  sockaddr_storage addr{};
+  socklen_t len = 0;
+  if (options.unix_path.empty()) {
+    auto* in = reinterpret_cast<sockaddr_in*>(&addr);
+    in->sin_family = AF_INET;
+    in->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    in->sin_port = htons(static_cast<std::uint16_t>(options.tcp_port));
+    len = sizeof(sockaddr_in);
+  } else {
+    auto* un = reinterpret_cast<sockaddr_un*>(&addr);
+    if (options.unix_path.size() >= sizeof(un->sun_path)) return -1;
+    un->sun_family = AF_UNIX;
+    std::memcpy(un->sun_path, options.unix_path.c_str(),
+                options.unix_path.size() + 1);
+    len = sizeof(sockaddr_un);
   }
-  return fd;
-}
-
-int connect_tcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd =
+      ::socket(addr.ss_family, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
+  bool ok = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), len) == 0;
+  if (!ok && errno == EINPROGRESS) {
+    pollfd pfd{fd, POLLOUT, 0};
+    int error = 0;
+    socklen_t error_len = sizeof(error);
+    ok = ::poll(&pfd, 1, options.response_timeout_ms) == 1 &&
+         ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &error_len) == 0 &&
+         error == 0;
+  }
+  if (ok) ok = ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) & ~O_NONBLOCK) == 0;
+  if (!ok) {
     ::close(fd);
     return -1;
   }
@@ -206,8 +219,7 @@ CollectorStats CollectorClient::run(const std::vector<Frame>& frames) {
   while (acked < total) {
     // -- (re)connect + handshake --------------------------------------
     if (fd_ < 0) {
-      fd_ = options_.unix_path.empty() ? connect_tcp(options_.tcp_port)
-                                       : connect_unix(options_.unix_path);
+      fd_ = connect_bounded(options_);
       if (fd_ < 0) {
         fail("connect refused");
         continue;

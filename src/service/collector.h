@@ -86,10 +86,12 @@ struct CollectorOptions {
   std::uint64_t backoff_base_ms = 2;
   std::uint64_t backoff_cap_ms = 200;
   /// No Ack/Reject for this long with messages in flight: the connection
-  /// is presumed dead and the client reconnects.
+  /// is presumed dead and the client reconnects. A TCP connect still in
+  /// progress after this long is a failed attempt too.
   int response_timeout_ms = 5000;
-  /// Consecutive failures (connect errors, dead connections, transient
-  /// rejects) before run() gives up. Any progress resets the count.
+  /// Consecutive failures (connect errors, a full listen backlog included,
+  /// dead connections, transient rejects) before run() gives up. Any
+  /// progress resets the count.
   std::size_t max_attempts = 200;
 
   /// While disconnected or backing off, merge superseded telemetry deltas

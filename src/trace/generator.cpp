@@ -207,6 +207,18 @@ ServerTrace generate_server(const WorkloadSpec& spec, WorkloadClass klass,
   return server;
 }
 
+AppDraw draw_app(const WorkloadSpec& spec, const Rng& master,
+                 std::size_t app_index) {
+  AppDraw app;
+  app.rng = master.fork(spec.name + "-app-" + std::to_string(app_index));
+  const int max_size =
+      std::max(static_cast<int>(2.0 * spec.app_size_mean) - 1, 1);
+  app.size = static_cast<int>(app.rng.uniform_int(1, max_size));
+  app.klass = app.rng.bernoulli(spec.web_fraction) ? WorkloadClass::kWeb
+                                                   : WorkloadClass::kBatch;
+  return app;
+}
+
 Datacenter generate_datacenter(const WorkloadSpec& spec, std::uint64_t seed) {
   Datacenter dc;
   dc.name = spec.name;
@@ -230,29 +242,19 @@ Datacenter generate_datacenter(const WorkloadSpec& spec, std::uint64_t seed) {
   std::vector<ServerPlan> plans;
   plans.reserve(static_cast<std::size_t>(std::max(spec.num_servers, 0)));
   int produced = 0;
-  int app_index = 0;
   while (produced < spec.num_servers) {
-    const std::string app_id = spec.name + "-app-" + std::to_string(app_index);
-    Rng app_rng = master.fork(app_id);
-    const int max_size =
-        std::max(static_cast<int>(2.0 * spec.app_size_mean) - 1, 1);
-    const int app_size = std::min<int>(
-        static_cast<int>(app_rng.uniform_int(1, max_size)),
-        spec.num_servers - produced);
-    const WorkloadClass klass = app_rng.bernoulli(spec.web_fraction)
-                                    ? WorkloadClass::kWeb
-                                    : WorkloadClass::kBatch;
-    apps.push_back(make_app_context(spec, klass, app_rng, fleet_bursts));
+    AppDraw app = draw_app(spec, master, apps.size());
+    const int app_size = std::min(app.size, spec.num_servers - produced);
+    apps.push_back(make_app_context(spec, app.klass, app.rng, fleet_bursts));
 
     for (int j = 0; j < app_size; ++j) {
       ServerPlan plan;
       plan.id = spec.name + "-srv-" + std::to_string(produced + 1);
-      plan.klass = klass;
+      plan.klass = app.klass;
       plan.app = apps.size() - 1;
       plans.push_back(std::move(plan));
       ++produced;
     }
-    ++app_index;
   }
 
   // Pass 2 (parallel, the expensive trace synthesis): every server draws

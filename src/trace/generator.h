@@ -164,6 +164,20 @@ ServerTrace generate_server(const WorkloadSpec& spec, WorkloadClass klass,
 /// exact draw `generate_datacenter` makes from `master.fork("fleet-events")`.
 std::vector<double> generate_fleet_events(const WorkloadSpec& spec, Rng& rng);
 
+/// One application's carve-up draws, made from its own keyed stream
+/// `master.fork(spec.name + "-app-" + app_index)`: its size ~ Uniform[1,
+/// 2*app_size_mean-1] (callers clip it to the servers left), its class,
+/// and that stream positioned after both draws, where the app's shared
+/// context (make_app_context) is drawn from. generate_datacenter and the
+/// streaming estate (scale/streaming_estate.h) both carve through it.
+struct AppDraw {
+  int size = 0;
+  WorkloadClass klass = WorkloadClass::kWeb;
+  Rng rng;
+};
+AppDraw draw_app(const WorkloadSpec& spec, const Rng& master,
+                 std::size_t app_index);
+
 /// Generate the whole fleet. Deterministic in (spec, seed).
 Datacenter generate_datacenter(const WorkloadSpec& spec, std::uint64_t seed);
 

@@ -12,6 +12,17 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+double hashed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                      std::uint64_t salt) noexcept {
+  std::uint64_t state = seed;
+  state += 0x9e3779b97f4a7c15ULL * (a + 1);
+  state += 0xbf58476d1ce4e5b9ULL * (b + 1);
+  state += 0x94d049bb133111ebULL * (salt + 1);
+  std::uint64_t x = splitmix64(state);
+  x = splitmix64(state);
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
 std::uint64_t hash64(std::string_view text) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (unsigned char c : text) {

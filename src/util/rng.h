@@ -15,6 +15,13 @@ namespace vmcw {
 /// splitmix64 step; used for seeding and for hashing identifiers into seeds.
 std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
+/// Stateless uniform draw in [0, 1) from a seed and a coordinate (a, b,
+/// salt): two splitmix64 rounds over a linear combination. Pure, so the
+/// same inputs always yield the same draw with no shared generator — the
+/// fault plans key each fault decision on it instead of a precomputed table.
+double hashed_uniform(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                      std::uint64_t salt) noexcept;
+
 /// Stable 64-bit hash of a string (FNV-1a finished with splitmix64), used to
 /// derive per-entity RNG streams from human-readable names.
 std::uint64_t hash64(std::string_view text) noexcept;

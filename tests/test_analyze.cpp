@@ -48,13 +48,6 @@ std::vector<std::pair<std::string, std::size_t>> rule_lines(
   return out;
 }
 
-const Violation* find_rule(const std::vector<Violation>& violations,
-                           const std::string& rule) {
-  for (const Violation& v : violations)
-    if (v.rule == rule) return &v;
-  return nullptr;
-}
-
 using Expected = std::vector<std::pair<std::string, std::size_t>>;
 
 // --- fork-key-collision -----------------------------------------------------

@@ -12,10 +12,12 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 #include <cstdint>
 #include <filesystem>
@@ -631,6 +633,55 @@ TEST(IngestServer, BadHelloIsAFatalReject) {
   daemon.close();
   EXPECT_GE(server.stats().rejects_sent, 1u);
   EXPECT_EQ(server.stats().messages_ingested, 0u);
+}
+
+TEST(IngestServer, ConnectToAFullBacklogSpendsTheRetryBudget) {
+  // A listener that never accepts, its backlog of 0 taken by one raw
+  // connect: each further connect finds the queue full. The client must
+  // count those as failed attempts and give up; a connect that blocked in
+  // the kernel instead would never return, so the client runs in a forked
+  // child that is killed after a bounded wait.
+  const std::string dir = temp_dir("vmcw_ingest_fullbacklog");
+  const std::string path = dir + "/full.sock";
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const auto* sa = reinterpret_cast<const sockaddr*>(&addr);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  ASSERT_EQ(::bind(listener, sa, sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 0), 0);
+  const int filler = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_EQ(::connect(filler, sa, sizeof(addr)), 0);
+
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    CollectorOptions copts;
+    copts.unix_path = path;
+    copts.max_attempts = 3;
+    CollectorClient client(copts);
+    try {
+      client.run({Frame{HeartbeatFrame{1}}});
+    } catch (const std::runtime_error&) {
+      ::_exit(0);  // retry budget exhausted
+    }
+    ::_exit(1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  for (int waited_ms = 0; waited_ms < 5000 && done == 0; waited_ms += 10) {
+    done = ::waitpid(child, &status, WNOHANG);
+    if (done == 0) ::usleep(10000);
+  }
+  if (done == 0) {
+    ::kill(child, SIGKILL);
+    ::waitpid(child, &status, 0);
+  }
+  ::close(filler);
+  ::close(listener);
+  EXPECT_EQ(done, child) << "collector still blocked in connect after 5 s";
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
 }
 
 // ------------------------------------------------- durability fail-stop

@@ -1,8 +1,11 @@
-// Fixture-driven tests for tools/vmcw_lint: one fixture per contract rule
-// that must trigger it and one that must pass, plus the suppression and
-// allowlist machinery. These pin the rules so they can't silently rot —
-// if a rule stops firing (or starts over-firing), a fixture here fails
-// before the vmcw_lint_src gate goes quietly toothless.
+// Fixture-driven tests for the checker's lexical rules (tools/vmcw_lint):
+// one fixture per contract rule that must trigger it and one that must
+// pass, plus the suppression and allowlist machinery. Each fixture goes
+// through vmcw_analyze's own path — index_file, then the one suppression
+// filter — and the tree walk through analyze_paths. These pin the rules so
+// they can't silently rot: if a rule stops firing (or starts over-firing),
+// a fixture here fails before the vmcw_analyze_src gate goes quietly
+// toothless.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,12 +16,12 @@
 #include <utility>
 #include <vector>
 
-#include "lint.h"
+#include "analyze.h"
 
 namespace {
 
-using vmcw::lint::Config;
-using vmcw::lint::Violation;
+using vmcw::check::Config;
+using vmcw::check::Violation;
 
 std::string fixture_path(const std::string& name) {
   return std::string(VMCW_LINT_FIXTURE_DIR) + "/" + name;
@@ -42,7 +45,21 @@ Config fixtures_config() {
 
 std::vector<Violation> lint_fixture(const std::string& name,
                                     const Config& config) {
-  return vmcw::lint::lint_file(name, read_fixture(name), config);
+  vmcw::analyze::FileIndex index =
+      vmcw::analyze::index_file(name, read_fixture(name));
+  return vmcw::check::apply_suppressions(name, config, std::move(index.raw),
+                                         std::move(index.suppressions),
+                                         nullptr);
+}
+
+/// The whole-tree walk, stale-config audit off: these tests pin the lexical
+/// rules, not the config.
+std::vector<Violation> lint_tree(const std::string& path,
+                                 const Config& config, std::string* error) {
+  vmcw::analyze::Options options;
+  options.audit_config = false;
+  return vmcw::analyze::analyze_paths(VMCW_LINT_FIXTURE_DIR, {path}, config,
+                                      options, error);
 }
 
 std::vector<Violation> lint_fixture(const std::string& name) {
@@ -203,11 +220,11 @@ TEST(LintConfig, ParseAcceptsCommentsAndBlankLines) {
 }
 
 TEST(LintConfig, GlobMatchCrossesDirectories) {
-  EXPECT_TRUE(vmcw::lint::glob_match("runtime/*.cpp", "runtime/sweep.cpp"));
-  EXPECT_TRUE(vmcw::lint::glob_match("*", "anything/at/all.h"));
-  EXPECT_TRUE(vmcw::lint::glob_match("a/*/c.h", "a/b/x/c.h"));
-  EXPECT_FALSE(vmcw::lint::glob_match("runtime/*.cpp", "chaos/plan.cpp"));
-  EXPECT_FALSE(vmcw::lint::glob_match("a.cpp", "ab.cpp"));
+  EXPECT_TRUE(vmcw::check::glob_match("runtime/*.cpp", "runtime/sweep.cpp"));
+  EXPECT_TRUE(vmcw::check::glob_match("*", "anything/at/all.h"));
+  EXPECT_TRUE(vmcw::check::glob_match("a/*/c.h", "a/b/x/c.h"));
+  EXPECT_FALSE(vmcw::check::glob_match("runtime/*.cpp", "chaos/plan.cpp"));
+  EXPECT_FALSE(vmcw::check::glob_match("a.cpp", "ab.cpp"));
 }
 
 // --- directory walking -----------------------------------------------------
@@ -215,11 +232,9 @@ TEST(LintConfig, GlobMatchCrossesDirectories) {
 TEST(LintPaths, WalksFixtureTreeDeterministically) {
   const Config config = fixtures_config();
   std::string error;
-  const std::vector<Violation> first =
-      vmcw::lint::lint_paths(VMCW_LINT_FIXTURE_DIR, {"."}, config, &error);
+  const std::vector<Violation> first = lint_tree(".", config, &error);
   ASSERT_TRUE(error.empty()) << error;
-  const std::vector<Violation> second =
-      vmcw::lint::lint_paths(VMCW_LINT_FIXTURE_DIR, {"."}, config, &error);
+  const std::vector<Violation> second = lint_tree(".", config, &error);
   ASSERT_TRUE(error.empty()) << error;
 
   // Two walks are byte-identical, and reported paths are root-relative so
@@ -246,8 +261,7 @@ TEST(LintPaths, WalksFixtureTreeDeterministically) {
 
 TEST(LintPaths, MissingPathReportsError) {
   std::string error;
-  vmcw::lint::lint_paths(VMCW_LINT_FIXTURE_DIR, {"no_such_dir"}, Config{},
-                         &error);
+  lint_tree("no_such_dir", Config{}, &error);
   EXPECT_FALSE(error.empty());
 }
 

@@ -190,10 +190,10 @@ std::size_t skip_group(const std::vector<Token>& toks, std::size_t open) {
 
 const std::vector<std::string>& known_rule_names() {
   static const std::vector<std::string> kNames = {
-      // vmcw_lint (tokenizer-level, per-file)
+      // lexical (tools/vmcw_lint, per file)
       "nondeterministic-rng", "wall-clock", "unordered-iteration",
       "thread-identity", "mutable-global", "rng-construction",
-      // vmcw_analyze (semantic, whole-program)
+      // whole-program (tools/vmcw_analyze)
       "fork-key-collision", "lock-order-cycle", "layering", "durable-write",
       "stale-config"};
   return kNames;
@@ -285,9 +285,8 @@ bool Config::allows_inline(std::string_view file,
   return false;
 }
 
-void scan_suppressions(std::string_view content,
-                       std::map<std::size_t, std::vector<std::size_t>>& by_line,
-                       std::vector<Suppression>& all) {
+Suppressions scan_suppressions(std::string_view content) {
+  Suppressions out;
   std::size_t line = 1;
   std::size_t pos = 0;
   while (pos <= content.size()) {
@@ -317,9 +316,9 @@ void scan_suppressions(std::string_view content,
           const std::size_t last = rule.find_last_not_of(" \t");
           rule.erase(last == std::string::npos ? 0 : last + 1);
           if (!rule.empty()) {
-            all.push_back({line, rule, false});
-            by_line[line].push_back(all.size() - 1);
-            if (standalone) by_line[line + 1].push_back(all.size() - 1);
+            out.all.push_back({line, rule, false});
+            out.by_line[line].push_back(out.all.size() - 1);
+            if (standalone) out.by_line[line + 1].push_back(out.all.size() - 1);
           }
           p = q + 1;
         }
@@ -329,31 +328,24 @@ void scan_suppressions(std::string_view content,
     pos = eol + 1;
     ++line;
   }
+  return out;
 }
 
 std::vector<Violation> apply_suppressions(std::string_view path,
-                                          std::string_view content,
                                           const Config& config,
                                           std::vector<Violation> raw,
-                                          const std::vector<std::string>& owned_rules,
-                                          std::vector<UsedSuppression>* used) {
-  std::map<std::size_t, std::vector<std::size_t>> suppress_by_line;
-  std::vector<Suppression> suppressions;
-  scan_suppressions(content, suppress_by_line, suppressions);
-  const auto owned = [&owned_rules](const std::string& rule) {
-    return std::find(owned_rules.begin(), owned_rules.end(), rule) !=
-           owned_rules.end();
-  };
-
+                                          Suppressions suppressions,
+                                          std::vector<std::string>* used_rules) {
+  const auto& known = known_rule_names();
   std::vector<Violation> kept;
   for (Violation& v : raw) {
     if (config.allows(path, v.rule)) continue;
     bool suppressed = false;
-    const auto it = suppress_by_line.find(v.line);
-    if (it != suppress_by_line.end()) {
+    const auto it = suppressions.by_line.find(v.line);
+    if (it != suppressions.by_line.end()) {
       for (const std::size_t s : it->second) {
-        if (suppressions[s].rule == v.rule) {
-          suppressions[s].used = true;
+        if (suppressions.all[s].rule == v.rule) {
+          suppressions.all[s].used = true;
           suppressed = true;
         }
       }
@@ -365,8 +357,8 @@ std::vector<Violation> apply_suppressions(std::string_view path,
   // them — and a suppression that no longer suppresses anything must be
   // deleted, so stale escapes can't accumulate.
   std::set<std::pair<std::size_t, std::string>> seen;
-  for (const Suppression& s : suppressions) {
-    if (!owned(s.rule)) continue;  // the sibling checker audits its own
+  for (const Suppression& s : suppressions.all) {
+    if (std::find(known.begin(), known.end(), s.rule) == known.end()) continue;
     if (!seen.insert({s.comment_line, s.rule}).second) continue;
     if (s.used && !config.allows_inline(path, s.rule)) {
       add(kept, path, s.comment_line, kRuleUndeclaredSuppression,
@@ -377,8 +369,8 @@ std::vector<Violation> apply_suppressions(std::string_view path,
       add(kept, path, s.comment_line, kRuleUnusedSuppression,
           cat("suppression of '", s.rule,
               "' matches no violation on this line; delete it"));
-    } else if (used) {
-      used->push_back({s.comment_line, s.rule});
+    } else if (used_rules) {
+      used_rules->push_back(s.rule);
     }
   }
   return kept;

@@ -1,9 +1,10 @@
-// Shared front-end for the static contract checkers (vmcw_lint,
-// vmcw_analyze): a dependency-free C++ tokenizer, the allowlist config
-// format, inline-suppression handling, and the deterministic source-tree
-// walk. Both tools see source the same way — one lexer, one config file,
-// one suppression syntax — so an exemption reviewed for one checker can
-// never silently mean something different to the other.
+// Front-end of the static contract checker (vmcw_analyze): a
+// dependency-free C++ tokenizer, the allowlist config format,
+// inline-suppression handling, and the deterministic source-tree walk. The
+// lexical rules (tools/vmcw_lint) and the whole-program rules
+// (tools/vmcw_analyze) see source through this one lexer, one config file
+// and one suppression filter, so an exemption means the same thing to
+// every rule.
 #pragma once
 
 #include <cstddef>
@@ -61,12 +62,12 @@ struct Violation {
   std::string message;
 };
 
-/// Every rule name either checker understands. Config::parse validates
-/// entries against this union so one shared config file can carry sections
-/// for both tools without either rejecting the other's rules.
+/// Every rule the checker implements, lexical rules first. Config::parse
+/// validates entries against this list, and apply_suppressions audits the
+/// inline suppressions that name one of these rules.
 const std::vector<std::string>& known_rule_names();
 
-/// Names of the suppression meta-rules (shared by both tools).
+/// Names of the suppression meta-rules.
 inline constexpr std::string_view kRuleUndeclaredSuppression =
     "undeclared-suppression";
 inline constexpr std::string_view kRuleUnusedSuppression =
@@ -108,34 +109,28 @@ struct Suppression {
   bool used = false;
 };
 
-/// Scan `content` for suppression comments. `by_line[n]` lists indices into
-/// `all` of the suppressions covering line n (a standalone comment covers
-/// the following line too).
-void scan_suppressions(std::string_view content,
-                       std::map<std::size_t, std::vector<std::size_t>>& by_line,
-                       std::vector<Suppression>& all);
-
-/// One inline suppression that actually suppressed a violation — the
-/// analyzer audits these against the config's allow-inline budget.
-struct UsedSuppression {
-  std::size_t line = 0;
-  std::string rule;
+/// The inline suppressions of one file: `all` in comment order, and
+/// `by_line[n]` the indices into `all` covering line n (a standalone comment
+/// covers the following line too).
+struct Suppressions {
+  std::vector<Suppression> all;
+  std::map<std::size_t, std::vector<std::size_t>> by_line;
 };
 
-/// Filter `raw` through the config's whole-file allows and the inline
-/// suppressions found in `content`; append undeclared-suppression /
-/// unused-suppression meta-violations. Only suppressions whose rule is in
-/// `owned_rules` participate — each checker audits its own rules and leaves
-/// the sibling tool's suppressions alone, so one suppression comment never
-/// reads as "unused" to the checker that doesn't implement its rule. When
-/// `used` is non-null it receives the suppressions that fired (deduplicated
+/// Scan `content` for suppression comments.
+Suppressions scan_suppressions(std::string_view content);
+
+/// Filter `raw`, every violation of the file `path`, through the config's
+/// whole-file allows and the file's inline suppressions; append
+/// undeclared-suppression / unused-suppression meta-violations for each
+/// suppression that names a known rule. When `used_rules` is non-null it
+/// receives the rule of every declared suppression that fired (deduplicated
 /// per line+rule).
 std::vector<Violation> apply_suppressions(std::string_view path,
-                                          std::string_view content,
                                           const Config& config,
                                           std::vector<Violation> raw,
-                                          const std::vector<std::string>& owned_rules,
-                                          std::vector<UsedSuppression>* used);
+                                          Suppressions suppressions,
+                                          std::vector<std::string>* used_rules);
 
 // ---------------------------------------------------------------------------
 // Deterministic source-tree walk.

@@ -9,6 +9,8 @@
 #include <thread>
 #include <tuple>
 
+#include "lint.h"
+
 namespace vmcw::analyze {
 namespace {
 
@@ -265,40 +267,14 @@ int module_tier(std::string_view module) {
   return -1;
 }
 
-FileIndex index_file(std::string_view path, std::string_view content,
-                     const Config& config) {
+FileIndex index_file(std::string_view path, std::string_view content) {
   FileIndex idx;
   idx.path = std::string(path);
   extract_includes(content, idx.includes);
-
-  // Raw lexical-rule hits and the lint-owned suppressions that fired — both
-  // feed the stale-config audit, neither is reported here (vmcw_lint owns
-  // that reporting).
-  idx.raw_lint = lint::lint_file_raw(path, content);
-  check::apply_suppressions(path, content, config, idx.raw_lint,
-                            lint::rule_names(), &idx.used_lint_suppressions);
-
-  // Analyzer-rule suppressions, applied at merge time once cross-file
-  // violations exist.
-  {
-    std::map<std::size_t, std::vector<std::size_t>> by_line;
-    std::vector<check::Suppression> all;
-    check::scan_suppressions(content, by_line, all);
-    const auto& mine = rule_names();
-    std::vector<std::size_t> remap(all.size(), SIZE_MAX);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (std::find(mine.begin(), mine.end(), all[i].rule) == mine.end())
-        continue;
-      remap[i] = idx.suppressions.size();
-      idx.suppressions.push_back(all[i]);
-    }
-    for (const auto& [line, ids] : by_line) {
-      for (const std::size_t id : ids)
-        if (remap[id] != SIZE_MAX) idx.suppress_by_line[line].push_back(remap[id]);
-    }
-  }
+  idx.suppressions = check::scan_suppressions(content);
 
   const std::vector<Token> toks = check::tokenize(content);
+  idx.raw = lint::lint_file_raw(path, toks);
 
   // One linear walk drives everything that needs scope context: Rng decls
   // and fork sites, mutex member decls, lock scopes and call events.
@@ -479,7 +455,7 @@ FileIndex index_file(std::string_view path, std::string_view content,
       if (!qualified) what = t;
     }
     if (what.empty()) continue;
-    add(idx.write_sites, path, tok.line, kRuleWrite,
+    add(idx.raw, path, tok.line, kRuleWrite,
         cat("raw durable write via '", what,
             "'; durable bytes must flow through write_file_atomic or "
             "runtime/record_log"));
@@ -875,76 +851,13 @@ void rule_lock_order(const Program& prog, std::vector<Violation>& out) {
   }
 }
 
-/// Apply whole-file allows and inline suppressions (analyzer rules only) to
-/// merge-time violations, then emit the suppression meta-violations. `used`
-/// receives "file\x01rule" keys for every suppression that fired; `hits`
-/// counts raw violations per "file\x01rule" (both feed the stale audit).
-std::vector<Violation> filter_merged(const Program& prog,
-                                     const Config& config,
-                                     std::vector<Violation> raw,
-                                     std::vector<std::string>* used,
-                                     std::map<std::string, std::size_t>* hits) {
-  std::map<std::string, std::vector<check::Suppression>> live;
-  for (const FileIndex& f : prog.files)
-    live[f.path] = f.suppressions;  // copies: `used` is per-run state
-
-  std::vector<Violation> kept;
-  for (Violation& v : raw) {
-    if (hits) ++(*hits)[cat(v.file, "\x01", v.rule)];
-    if (config.allows(v.file, v.rule)) continue;
-    bool suppressed = false;
-    const FileIndex* f = prog.find(v.file);
-    if (f) {
-      const auto it = f->suppress_by_line.find(v.line);
-      if (it != f->suppress_by_line.end()) {
-        for (const std::size_t s : it->second) {
-          if (f->suppressions[s].rule == v.rule) {
-            live[v.file][s].used = true;
-            suppressed = true;
-          }
-        }
-      }
-    }
-    if (!suppressed) kept.push_back(std::move(v));
-  }
-
-  for (const FileIndex& f : prog.files) {
-    std::set<std::pair<std::size_t, std::string>> seen;
-    for (const check::Suppression& s : live[f.path]) {
-      if (!seen.insert({s.comment_line, s.rule}).second) continue;
-      if (s.used && !config.allows_inline(f.path, s.rule)) {
-        add(kept, f.path, s.comment_line, check::kRuleUndeclaredSuppression,
-            cat("inline suppression of '", s.rule,
-                "' is not declared in the lint config; add an allow-inline "
-                "entry with a justification"));
-      } else if (!s.used) {
-        add(kept, f.path, s.comment_line, check::kRuleUnusedSuppression,
-            cat("suppression of '", s.rule,
-                "' matches no violation on this line; delete it"));
-      } else if (used) {
-        used->push_back(cat(f.path, "\x01", s.rule));
-      }
-    }
-  }
-  return kept;
-}
-
+/// `hits` counts raw violations and `used` the declared inline suppressions
+/// that fired, both keyed "file\x01rule".
 void rule_stale_config(const Program& prog, const Config& config,
                        const Options& options,
-                       const std::map<std::string, std::size_t>& raw_hits,
-                       const std::vector<std::string>& used_merged,
+                       const std::map<std::string, std::size_t>& hits,
+                       const std::map<std::string, std::size_t>& used,
                        std::vector<Violation>& out) {
-  // Raw per-file hit counts: the lexical rules (re-run raw per file) plus
-  // the analyzer rules (raw_hits from filter_merged, keyed "file\x01rule").
-  std::map<std::string, std::size_t> hits = raw_hits;
-  std::map<std::string, std::size_t> used_inline;  // file \x01 rule -> n
-  for (const FileIndex& f : prog.files) {
-    for (const Violation& v : f.raw_lint) ++hits[cat(f.path, "\x01", v.rule)];
-    for (const check::UsedSuppression& u : f.used_lint_suppressions)
-      ++used_inline[cat(f.path, "\x01", u.rule)];
-  }
-  for (const std::string& key : used_merged) ++used_inline[key];
-
   const auto audit = [&](const Config::Entry& e, bool inline_kind) {
     if (e.rule == kRuleStale) return;  // would be self-referential
     bool matched_file = false;
@@ -952,7 +865,7 @@ void rule_stale_config(const Program& prog, const Config& config,
     for (const FileIndex& f : prog.files) {
       if (!check::glob_match(e.pattern, f.path)) continue;
       matched_file = true;
-      const auto& table = inline_kind ? used_inline : hits;
+      const auto& table = inline_kind ? used : hits;
       const auto it = table.find(cat(f.path, "\x01", e.rule));
       if (it != table.end() && it->second > 0) {
         live = true;
@@ -1004,7 +917,7 @@ std::vector<Violation> analyze_paths(const std::string& root,
       std::string content;
       if (!check::read_file(files[i].full_path, content, &slot_errors[i]))
         continue;
-      prog.files[i] = index_file(files[i].rel_path, content, config);
+      prog.files[i] = index_file(files[i].rel_path, content);
     }
   };
   if (workers == 1) {
@@ -1023,21 +936,40 @@ std::vector<Violation> analyze_paths(const std::string& root,
   for (std::size_t i = 0; i < prog.files.size(); ++i)
     prog.by_path[prog.files[i].path] = i;
 
-  // Rule phase (single-threaded over the merged index).
-  std::vector<Violation> raw;
-  rule_layering(prog, raw);
-  rule_fork_keys(prog, raw);
-  rule_lock_order(prog, raw);
-  for (const FileIndex& f : prog.files)
-    raw.insert(raw.end(), f.write_sites.begin(), f.write_sites.end());
+  // Rule phase (single-threaded over the merged index). Each cross-file hit
+  // joins the raw hits of the file it names; a lock-cycle anchor parsed
+  // from a path holding ')' names no walked file and keeps its own slot.
+  std::vector<Violation> cross;
+  rule_layering(prog, cross);
+  rule_fork_keys(prog, cross);
+  rule_lock_order(prog, cross);
+  std::map<std::string, std::vector<Violation>> outside;
+  for (Violation& v : cross) {
+    const auto it = prog.by_path.find(v.file);
+    (it == prog.by_path.end() ? outside[v.file] : prog.files[it->second].raw)
+        .push_back(std::move(v));
+  }
 
-  std::vector<std::string> used_merged;
-  std::map<std::string, std::size_t> raw_hits;
-  std::vector<Violation> kept =
-      filter_merged(prog, config, std::move(raw), &used_merged, &raw_hits);
+  // One filter: every file's hits pass once through its allows and inline
+  // suppressions, which also tallies the stale-config audit's two tables.
+  std::map<std::string, std::size_t> hits, used;  // "file\x01rule" -> n
+  std::vector<Violation> kept;
+  const auto filter = [&](const std::string& path, std::vector<Violation> raw,
+                          check::Suppressions suppressions) {
+    for (const Violation& v : raw) ++hits[cat(path, "\x01", v.rule)];
+    std::vector<std::string> fired;
+    std::vector<Violation> left = check::apply_suppressions(
+        path, config, std::move(raw), std::move(suppressions), &fired);
+    for (const std::string& rule : fired) ++used[cat(path, "\x01", rule)];
+    kept.insert(kept.end(), std::make_move_iterator(left.begin()),
+                std::make_move_iterator(left.end()));
+  };
+  for (FileIndex& f : prog.files)
+    filter(f.path, std::move(f.raw), std::move(f.suppressions));
+  for (auto& [path, raw] : outside) filter(path, std::move(raw), {});
 
   if (options.audit_config)
-    rule_stale_config(prog, config, options, raw_hits, used_merged, kept);
+    rule_stale_config(prog, config, options, hits, used, kept);
 
   std::sort(kept.begin(), kept.end(),
             [](const Violation& a, const Violation& b) {

@@ -1,12 +1,13 @@
-// vmcw_analyze: cross-translation-unit semantic analysis for the
-// determinism contract.
+// vmcw_analyze: the determinism contract checker.
 //
-// vmcw_lint (the sibling tool) sees one file at a time and bans what is
-// lexically illegal anywhere. This tool parses a lightweight whole-program
-// index over all of src/ — per file: include edges, declared Rng streams
-// and fork call sites with literal keys, annotated mutexes and lock
-// acquisition scopes, raw write sites, inline suppressions — and runs four
-// rule families that only make sense on the whole program:
+// It builds a lightweight whole-program index over all of src/ — per file:
+// include edges, declared Rng streams and fork call sites with literal
+// keys, annotated mutexes and lock acquisition scopes, raw write sites,
+// inline suppressions — from one token vector per file. On those tokens it
+// runs the lexical rules of tools/vmcw_lint (banned identifiers, wall-clock
+// reads, unordered iteration, thread identity, mutable globals, raw Rng
+// construction; see lint.h), and over the index four rule families that
+// only make sense on the whole program:
 //
 //   fork-key-collision   Sibling streams forked from the same parent must
 //                        use distinct literal keys; a literal key that can
@@ -34,7 +35,7 @@
 //                        fopen / ::write / ::open anywhere else is a
 //                        violation.
 //
-// Plus one meta rule that keeps the shared allowlist honest:
+// Plus one meta rule that keeps the allowlist honest:
 //
 //   stale-config         Every `allow` entry must still match a file with a
 //                        live raw violation of its rule, and every
@@ -43,28 +44,29 @@
 //                        allow nothing are themselves violations, so the
 //                        reviewed budget can only shrink when code does.
 //
-// The tool shares vmcw_lint's lexer, config format (one vmcw_lint.conf,
-// per-rule sections) and suppression syntax via tools/check_common. Inline
-// suppressions apply to the per-site rules (durable-write,
-// fork-key-collision); the cross-file rules (layering, lock-order-cycle)
-// accept only whole-file `allow` entries — a cycle has no single line to
-// annotate.
+// Every hit of a file, lexical and cross-file, passes once through
+// check::apply_suppressions: the whole-file `allow` entries of
+// vmcw_lint.conf and the file's `// vmcw-lint: allow(rule)` comments.
+// Inline suppressions apply to the per-site rules (the lexical rules,
+// durable-write, fork-key-collision); the cross-file rules (layering,
+// lock-order-cycle) accept only whole-file `allow` entries — a cycle has no
+// single line to annotate.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "lint.h"
+#include "check.h"
 
 namespace vmcw::analyze {
 
 using check::Config;
 using check::Violation;
 
-/// Names of the analyzer's rules, in reporting order.
+/// Names of the whole-program rules (check::known_rule_names() lists these
+/// after the lexical rules).
 const std::vector<std::string>& rule_names();
 
 struct Options {
@@ -131,14 +133,10 @@ struct FileIndex {
   std::vector<ForkSite> forks;
   std::vector<MutexMember> mutexes;
   std::vector<FunctionInfo> functions;
-  std::vector<Violation> write_sites;  ///< raw durable-write hits
-  std::vector<Violation> raw_lint;     ///< lexical rules, unfiltered
-  /// Inline suppressions whose rule fired for the lint checker (the
-  /// stale-config audit checks them against the allow-inline budget).
-  std::vector<check::UsedSuppression> used_lint_suppressions;
-  /// Inline suppressions naming analyzer rules, applied at merge time.
-  std::vector<check::Suppression> suppressions;
-  std::map<std::size_t, std::vector<std::size_t>> suppress_by_line;
+  /// Lexical-rule and durable-write hits, unfiltered; the cross-file rules
+  /// add theirs at merge time, before the one suppression filter.
+  std::vector<Violation> raw;
+  check::Suppressions suppressions;  ///< inline suppression comments
 };
 
 /// Tier of a top-level src/ module in the DESIGN.md layer order, or -1 when
@@ -146,9 +144,9 @@ struct FileIndex {
 /// exempt from the tier check but still participate in cycle detection).
 int module_tier(std::string_view module);
 
-/// Index one file (tokenize + extract). Exposed for unit tests.
-FileIndex index_file(std::string_view path, std::string_view content,
-                     const Config& config);
+/// Index one file (tokenize once, run the lexical rules, extract). Exposed
+/// for unit tests.
+FileIndex index_file(std::string_view path, std::string_view content);
 
 /// Analyze every *.h / *.cpp under `paths` (files or directories), resolved
 /// relative to `root`; reported paths are root-relative and output order is

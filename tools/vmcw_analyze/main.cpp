@@ -1,11 +1,12 @@
-// vmcw_analyze CLI. Exit status 0 = clean, 1 = violations, 2 = usage/IO
-// error — same contract as vmcw_lint, same config file.
+// vmcw_analyze CLI: the determinism contract checker. Exit status 0 =
+// clean, 1 = violations, 2 = usage/IO error.
 //
 //   vmcw_analyze --config=tools/vmcw_lint/vmcw_lint.conf --root=src .
 //
 // Runs as the `vmcw_analyze_src` ctest; CI also injects one violation per
-// rule family to prove each gate fails when it should. `--threads=N` only
-// changes the wall-clock of the index phase, never the output bytes.
+// rule family (a lexical one included) to prove each gate fails when it
+// should. `--threads=N` only changes the wall-clock of the index phase,
+// never the output bytes.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,9 +22,10 @@ int usage() {
   std::fprintf(stderr,
                "usage: vmcw_analyze [--config=FILE] [--root=DIR] "
                "[--threads=N] [--no-config-audit] [--list-rules] PATH...\n"
-               "Cross-TU analysis of *.h/*.cpp under each PATH (relative to "
-               "--root): fork-key collisions,\nlock-order cycles, layering "
-               "back-edges/cycles, durable-write discipline, stale config "
+               "Checks *.h/*.cpp under each PATH (relative to --root) "
+               "against the determinism contract:\nthe lexical rules, "
+               "fork-key collisions, lock-order cycles, layering "
+               "back-edges/cycles,\ndurable-write discipline, stale config "
                "entries.\n");
   return 2;
 }
@@ -48,7 +50,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-config-audit") {
       options.audit_config = false;
     } else if (arg == "--list-rules") {
-      for (const std::string& rule : vmcw::analyze::rule_names())
+      for (const std::string& rule : vmcw::check::known_rule_names())
         std::printf("%s\n", rule.c_str());
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {

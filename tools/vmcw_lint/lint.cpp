@@ -1,9 +1,7 @@
 #include "lint.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
-#include <tuple>
 #include <utility>
 
 namespace vmcw::lint {
@@ -370,22 +368,8 @@ void rule_mutable_global(const std::vector<Token>& toks,
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Public interface.
-// ---------------------------------------------------------------------------
-
-const std::vector<std::string>& rule_names() {
-  static const std::vector<std::string> kNames = {
-      std::string(kRuleRng),      std::string(kRuleClock),
-      std::string(kRuleUnordered), std::string(kRuleThread),
-      std::string(kRuleGlobal),   std::string(kRuleRngCtor)};
-  return kNames;
-}
-
 std::vector<Violation> lint_file_raw(std::string_view path,
-                                     std::string_view content) {
-  const std::vector<Token> toks = check::tokenize(content);
-
+                                     const std::vector<Token>& toks) {
   std::vector<Violation> raw;
   rule_nondeterministic_rng(toks, path, raw);
   rule_wall_clock(toks, path, raw);
@@ -394,38 +378,6 @@ std::vector<Violation> lint_file_raw(std::string_view path,
   rule_mutable_global(toks, path, raw);
   rule_rng_construction(toks, path, raw);
   return raw;
-}
-
-std::vector<Violation> lint_file(std::string_view path,
-                                 std::string_view content,
-                                 const Config& config) {
-  std::vector<Violation> kept = check::apply_suppressions(
-      path, content, config, lint_file_raw(path, content), rule_names(),
-      nullptr);
-
-  std::sort(kept.begin(), kept.end(), [](const Violation& a,
-                                         const Violation& b) {
-    return std::tie(a.file, a.line, a.rule) < std::tie(b.file, b.line, b.rule);
-  });
-  return kept;
-}
-
-std::vector<Violation> lint_paths(const std::string& root,
-                                  const std::vector<std::string>& paths,
-                                  const Config& config, std::string* error) {
-  std::vector<check::SourceFile> files;
-  if (!check::list_source_files(root, paths, files, error)) return {};
-
-  std::vector<Violation> out;
-  for (const check::SourceFile& file : files) {
-    std::string content;
-    if (!check::read_file(file.full_path, content, error)) return {};
-    std::vector<Violation> file_violations =
-        lint_file(file.rel_path, content, config);
-    out.insert(out.end(), std::make_move_iterator(file_violations.begin()),
-               std::make_move_iterator(file_violations.end()));
-  }
-  return out;
 }
 
 }  // namespace vmcw::lint

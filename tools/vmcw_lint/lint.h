@@ -1,15 +1,15 @@
-// vmcw_lint: a tokenizer-level checker for the determinism contract.
+// The lexical rules of the determinism contract checker (vmcw_analyze).
 //
 // The dynamic half of the contract (1/2/8-thread pin tests, TSan) catches a
 // violation only when a test happens to exercise it; this tool makes the
 // contract's *sources* of nondeterminism grep-proofly illegal across src/.
-// It deliberately works on tokens, not an AST: no libclang dependency, runs
-// in milliseconds as a ctest, and the rules it enforces are lexical by
-// nature (a banned identifier is banned wherever it appears). Whole-program
-// rules that need to see across translation units (fork-key collisions,
-// lock-order cycles, layering, durable-write discipline) live in the
-// sibling tool vmcw_analyze; both share the lexer, config format and
-// suppression syntax through tools/check_common.
+// They deliberately work on tokens, not an AST: no libclang dependency,
+// milliseconds per tree, and the rules are lexical by nature (a banned
+// identifier is banned wherever it appears). vmcw_analyze runs them over
+// the token vector it builds for each file, next to its whole-program
+// rules (fork-key collisions, lock-order cycles, layering, durable-write
+// discipline); every hit then passes through the one suppression filter in
+// tools/check_common.
 //
 // Rules (each violation names its rule; see DESIGN.md §5d for rationale):
 //   nondeterministic-rng  std::random_device, rand/srand/*rand48, and the
@@ -39,7 +39,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -47,32 +46,11 @@
 
 namespace vmcw::lint {
 
-using check::Config;
 using check::Violation;
-using check::glob_match;
 
-/// Names of the lint contract rules, in reporting order (the analyzer's
-/// whole-program rules are not included; see check::known_rule_names()).
-const std::vector<std::string>& rule_names();
-
-/// Run the lint rules on one file's content, raw: no allowlist filtering,
-/// no suppression handling. vmcw_analyze uses this to audit whether each
-/// config entry still matches a live violation.
+/// Run the lexical rules on one file's tokens, raw: no allowlist filtering,
+/// no suppression handling. `path` is the root-relative path reported.
 std::vector<Violation> lint_file_raw(std::string_view path,
-                                     std::string_view content);
-
-/// Lint one file's content. `path` is the repo-relative path used for
-/// allowlist matching and reporting.
-std::vector<Violation> lint_file(std::string_view path,
-                                 std::string_view content,
-                                 const Config& config);
-
-/// Lint every *.h / *.cpp under `paths` (files or directories), resolved
-/// relative to `root`; reported paths are root-relative. Directories are
-/// walked in sorted order so output is stable.
-std::vector<Violation> lint_paths(const std::string& root,
-                                  const std::vector<std::string>& paths,
-                                  const Config& config,
-                                  std::string* error);
+                                     const std::vector<check::Token>& toks);
 
 }  // namespace vmcw::lint
