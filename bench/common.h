@@ -35,14 +35,11 @@ namespace vmcw::bench {
 ///   --journal=PATH         override the journal path (default: next to the
 ///                          telemetry sidecar, journal_<slug>[_<suffix>].bin)
 ///   --no-journal           disable journaling entirely
-///   --cell-deadline=SECS   per-cell watchdog; a cell past the deadline is
-///                          reported timed_out without aborting its siblings
 struct BenchOptions {
   int servers = 0;
   bool resume = false;
   bool journal = true;
   std::string journal_override;
-  double cell_deadline_seconds = 0;
 };
 
 inline BenchOptions parse_options(int argc, char** argv,
@@ -57,8 +54,6 @@ inline BenchOptions parse_options(int argc, char** argv,
       opts.journal = false;
     else if (arg.rfind("--journal=", 0) == 0)
       opts.journal_override = arg.substr(10);
-    else if (arg.rfind("--cell-deadline=", 0) == 0)
-      opts.cell_deadline_seconds = std::atof(arg.c_str() + 16);
     else if (!arg.empty() && arg[0] != '-')
       opts.servers = std::atoi(arg.c_str());
   }
@@ -167,7 +162,6 @@ inline SweepOptions sweep_options(const BenchOptions& opts,
     }
   }
   sweep.resume = opts.resume;
-  sweep.cell_deadline_seconds = opts.cell_deadline_seconds;
   return sweep;
 }
 

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "runtime/cancellation.h"
 #include "runtime/telemetry.h"
 
 namespace vmcw {
@@ -39,31 +38,20 @@ RobustnessReport replay_under_faults(std::span<const VmWorkload> vms,
     return rob;
   }
 
+  // A plan that injects nothing is a plain emulation, bit-identical to
+  // emulate() because it is emulate().
+  if (!plan.any()) {
+    rob.emulation =
+        emulate(vms, schedule, settings, power_off_empty_hosts, pool);
+    MetricsRegistry::global().add_counter("chaos.replays");
+    return rob;
+  }
+
   std::size_t host_bound = 0;
   for (const auto& p : schedule)
     host_bound = std::max(host_bound, p.host_index_bound());
   EmulationAccumulator acc(vms, settings, power_off_empty_hosts, pool,
                            host_bound);
-
-  // A plan that injects nothing replays exactly as emulate() does — the
-  // same accumulator driven by the same placement objects in the same
-  // order — so the reports are bit-identical by construction.
-  if (!plan.any()) {
-    for (std::size_t k = 0; k < intervals; ++k) {
-      cancellation_point();
-      const Placement& placement =
-          schedule.size() == 1 ? schedule[0]
-                               : schedule[std::min(k, schedule.size() - 1)];
-      acc.begin_interval(placement);
-      const std::size_t interval_begin =
-          settings.eval_begin() + k * settings.interval_hours;
-      for (std::size_t dt = 0; dt < settings.interval_hours; ++dt)
-        acc.step_hour(interval_begin + dt);
-    }
-    rob.emulation = acc.finish();
-    MetricsRegistry::global().add_counter("chaos.replays");
-    return rob;
-  }
 
   const auto& outages = plan.outages();
   // Per outage: did the host carry VMs when it went down? Such hosts count
@@ -107,9 +95,6 @@ RobustnessReport replay_under_faults(std::span<const VmWorkload> vms,
   bool dirty = true;  // `actual` mutated since the accumulator last saw it
 
   for (std::size_t k = 0; k < intervals; ++k) {
-    // Same cancellation cadence as the fault-free loop: one check per
-    // consolidation interval.
-    cancellation_point();
     const std::size_t hour0 =
         settings.eval_begin() + k * settings.interval_hours;
 

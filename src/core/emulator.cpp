@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "runtime/cancellation.h"
 #include "runtime/telemetry.h"
 
 namespace vmcw {
@@ -198,9 +197,6 @@ EmulationReport emulate(std::span<const VmWorkload> vms,
                            host_bound);
   const std::size_t intervals = settings.intervals();
   for (std::size_t k = 0; k < intervals; ++k) {
-    // Interval boundaries are the replay's cancellation points: a cell
-    // whose watchdog fired unwinds here instead of running the window out.
-    cancellation_point();
     const Placement& placement =
         schedule.size() == 1 ? schedule[0]
                              : schedule[std::min(k, schedule.size() - 1)];

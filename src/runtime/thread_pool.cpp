@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <utility>
 
-#include "runtime/cancellation.h"
-
 namespace vmcw {
 
 namespace {
@@ -57,17 +55,6 @@ ThreadPool& ThreadPool::global() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  // Tasks inherit the submitter's ambient cancellation token: a sweep
-  // cell's nested parallel_for chunks stay under the cell's watchdog no
-  // matter which worker steals them, and help-while-waiting restores the
-  // helper's own token when the scope unwinds.
-  if (CancellationScope::current().valid()) {
-    task = [token = CancellationScope::current(),
-            inner = std::move(task)]() mutable {
-      CancellationScope scope(std::move(token));
-      inner();
-    };
-  }
   if (tl_pool == this) {
     Worker& own = *workers_[tl_index];
     MutexLock lk(own.mutex);

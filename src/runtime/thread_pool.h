@@ -56,9 +56,7 @@ class ThreadPool {
 
   /// Enqueue a task. Tasks must not throw (wrap with TaskGroup for
   /// exception propagation). Worker threads push to their own deque;
-  /// external threads to the shared injection queue. The submitter's
-  /// ambient CancellationScope token (if any) is captured and re-installed
-  /// around the task, so nested parallel work inherits its cell's watchdog.
+  /// external threads to the shared injection queue.
   void submit(std::function<void()> task) VMCW_EXCLUDES(mutex_);
 
   /// Pop and execute one pending task if any is available anywhere.

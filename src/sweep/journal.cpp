@@ -1,8 +1,8 @@
 #include "sweep/journal.h"
 
-#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/wire.h"
 
@@ -15,10 +15,9 @@ using wire::ByteWriter;
 using wire::fnv1a64;
 
 constexpr char kMagic[8] = {'V', 'M', 'C', 'W', 'J', 'N', 'L', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 constexpr std::uint8_t kResultRecord = 1;
-constexpr std::uint8_t kAttemptFailedRecord = 2;
 
 // ----------------------------------------------------- result records ----
 
@@ -142,7 +141,6 @@ std::vector<std::uint8_t> encode_result(const SweepCellResult& result) {
   w.u8(result.planned ? 1 : 0);
   w.u8(static_cast<std::uint8_t>(result.status));
   w.str(result.error);
-  w.u32(result.attempts);
   w.u64(result.provisioned_hosts);
   w.u64(result.total_migrations);
   put_report(w, result.report);
@@ -161,7 +159,6 @@ SweepCellResult decode_result(const std::uint8_t* data, std::size_t size) {
   result.planned = r.u8() != 0;
   result.status = static_cast<CellStatus>(r.u8());
   result.error = r.str();
-  result.attempts = r.u32();
   result.provisioned_hosts = r.u64();
   result.total_migrations = r.u64();
   result.report = get_report(r);
@@ -315,60 +312,31 @@ SweepJournal::Recovery SweepJournal::open(const std::string& path,
                                           std::uint64_t grid_hash,
                                           std::size_t cell_count,
                                           bool resume) {
-  std::map<std::size_t, SweepCellResult> terminal;
-  std::map<std::size_t, int> attempts;
-  const auto decode = [&](std::uint8_t kind, const std::uint8_t* payload,
+  std::map<std::size_t, SweepCellResult> outcomes;
+  const auto decode = [&](std::uint8_t, const std::uint8_t* payload,
                           std::size_t size) {
-    if (kind == kResultRecord) {
-      SweepCellResult result = decode_result(payload, size);
-      if (result.index >= cell_count)
-        throw std::runtime_error("journal: index out of grid");
-      terminal[result.index] = std::move(result);
-      return;
-    }
-    ByteReader r(payload, size);
-    const std::size_t index = r.u64();
-    const int attempt = static_cast<int>(r.u32());
-    (void)r.u8();   // status
-    (void)r.str();  // error text (kept for post-mortems)
-    if (index >= cell_count)
+    SweepCellResult result = decode_result(payload, size);
+    if (result.index >= cell_count)
       throw std::runtime_error("journal: index out of grid");
-    attempts[index] = std::max(attempts[index], attempt);
+    outcomes[result.index] = std::move(result);
   };
   const RecordLog::Opened opened =
       log_.open(path, RecordHeader{kMagic, kVersion, 2, {grid_hash, cell_count}},
-                resume, RecordKinds{kResultRecord, kAttemptFailedRecord},
-                decode);
+                resume, RecordKinds{kResultRecord, kResultRecord}, decode);
 
   Recovery rec;
   rec.stale = opened.stale;
   rec.torn_tail = opened.torn_tail;
   rec.bytes_discarded = opened.bytes_discarded;
   if (!opened.recovered) return rec;
-  // The last terminal record of a cell wins; its attempts are settled.
-  for (auto& [index, result] : terminal) {
-    attempts.erase(index);
+  for (auto& [index, result] : outcomes)
     rec.results.push_back(std::move(result));
-  }
-  for (const auto& [index, attempt] : attempts)
-    rec.attempts_used.emplace_back(index, attempt);
   return rec;
 }
 
 bool SweepJournal::append_result(const SweepCellResult& result) {
   return log_.append(encode_record(kResultRecord, encode_result(result)),
                      /*sync=*/true);
-}
-
-void SweepJournal::append_failed_attempt(std::size_t index, int attempt,
-                                         CellStatus status,
-                                         const std::string& error) {
-  ByteWriter w;
-  w.u64(index);
-  w.u32(static_cast<std::uint32_t>(attempt));
-  w.u8(static_cast<std::uint8_t>(status));
-  w.str(error);
-  log_.append(encode_record(kAttemptFailedRecord, w.bytes()), /*sync=*/true);
 }
 
 }  // namespace vmcw

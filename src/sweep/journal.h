@@ -5,7 +5,7 @@
 // journal is a thin typed wrapper over the one durable record log
 // (runtime/record_log), which owns the file format, the checksum scan,
 // torn-tail truncation and every write and sync. What is left here:
-//  - the header: magic "VMCWJNL1", version 1, and two binding words, a
+//  - the header: magic "VMCWJNL1", version 2, and two binding words, a
 //    content hash over every SweepCell (spec, settings, strategy, seed,
 //    faults, chaos options) and the cell count. A journal for another grid
 //    is stale (the grid was edited since it was written); it is discarded
@@ -14,13 +14,13 @@
 //    with a single write() and fdatasync'd, so it is either fully present
 //    or detectably torn. A torn tail is truncated away on resume and the
 //    interrupted cell simply recomputes.
-//  - the replay policy: two record kinds keep retries deterministic across
-//    crashes. kResult is a cell's terminal outcome (success, planner
-//    failure, or a failure that exhausted its retry budget); the last one
-//    per cell wins. kAttemptFailed logs one consumed attempt of a cell
-//    that will be retried, so a resumed sweep continues the retry count
-//    instead of resetting it. An attempt interrupted by the crash itself
-//    leaves no record and costs no budget.
+//  - the replay policy: one record kind, a cell's outcome (success,
+//    planner failure, or the failure text of a cell that threw); the last
+//    one per cell wins. A cell runs once, so an outcome is final and a
+//    resume replays it; a cell interrupted by the crash leaves no record
+//    and is computed again. A version-1 journal, whose records carried an
+//    attempt count, has another header: it is stale and recomputed, never
+//    decoded with the wrong layout.
 //  - the failure policy: a journal that cannot be opened, or whose write
 //    or sync fails, closes, and the sweep runs on unjournaled. Journaling
 //    is a cache of pure computations, so losing it costs time, not results.
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/record_log.h"
@@ -50,12 +49,9 @@ class SweepJournal {
  public:
   /// What open() recovered from an existing journal.
   struct Recovery {
-    /// Terminal cell records, in append order (at most one per index is
-    /// kept — the last wins).
+    /// Cell outcome records in index order, one per index (the last one
+    /// journaled for an index wins).
     std::vector<SweepCellResult> results;
-    /// Highest failed-attempt number journaled per cell index, for cells
-    /// without a terminal record yet.
-    std::vector<std::pair<std::size_t, int>> attempts_used;
     bool stale = false;      ///< existing journal was for a different grid
     bool torn_tail = false;  ///< trailing partial/corrupt record dropped
     std::size_t bytes_discarded = 0;  ///< size of the discarded tail
@@ -72,16 +68,11 @@ class SweepJournal {
 
   bool is_open() const { return log_.is_open(); }
 
-  /// Append a terminal record for one cell. Thread-safe; the record is a
+  /// Append the outcome record of one cell. Thread-safe; the record is a
   /// single write() followed by fdatasync, so a crash leaves either no
   /// trace or a complete, replayable record. Returns whether the record is
   /// durable; a failed write or sync closes the journal.
   bool append_result(const SweepCellResult& result);
-
-  /// Append a consumed-attempt record for a cell that will be retried. A
-  /// failure closes the journal, so the cell's append_result reports it.
-  void append_failed_attempt(std::size_t index, int attempt,
-                             CellStatus status, const std::string& error);
 
   void close() { log_.close(); }
 

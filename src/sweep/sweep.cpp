@@ -4,7 +4,6 @@
 #include <exception>
 #include <utility>
 
-#include "runtime/cancellation.h"
 #include "sweep/journal.h"
 #include "runtime/telemetry.h"
 #include "util/rng.h"
@@ -19,8 +18,6 @@ const char* to_string(CellStatus status) noexcept {
       return "planner_failed";
     case CellStatus::kFailed:
       return "failed";
-    case CellStatus::kTimedOut:
-      return "timed_out";
   }
   return "unknown";
 }
@@ -99,81 +96,39 @@ void compute_cell(const SweepCell& cell, SweepCellResult& out) {
   }
 }
 
-/// Run one cell's attempt loop: watchdog scope, retry budget, journaling of
-/// consumed attempts and the terminal outcome. Never throws; every outcome
-/// lands in `out` so sibling cells are untouched.
+/// Run one cell and journal its outcome. Never throws; every outcome lands
+/// in `out` so sibling cells are untouched.
 void run_cell(const SweepCell& cell, std::size_t index,
-              const SweepOptions& options, int attempts_already_used,
-              SweepJournal* journal, SweepCellResult& out) {
+              const SweepOptions& options, SweepJournal* journal,
+              SweepCellResult& out) {
   Stopwatch cell_span("sweep.cell_seconds");
   out = SweepCellResult{};
   out.index = index;
   out.strategy = cell.strategy;
   out.seed = cell.seed;
-
-  const int max_attempts = std::max(1, options.max_attempts);
-  int attempt = attempts_already_used;
-  for (;;) {
-    ++attempt;
-    out.attempts = static_cast<std::uint32_t>(attempt);
-    out.status = CellStatus::kOk;
-    out.error.clear();
+  try {
+    if (options.cell_hook) options.cell_hook(cell, index);
+    compute_cell(cell, out);
+  } catch (const std::exception& e) {
+    out.status = CellStatus::kFailed;
+    out.error = e.what();
+  } catch (...) {
+    out.status = CellStatus::kFailed;
+    out.error = "unknown exception";
+  }
+  if (out.status == CellStatus::kFailed) {
+    // Whatever the cell computed before it unwound is partial; the
+    // contract says a non-ok cell reports planned == false and
+    // default-constructed reports (workload naming is kept for logs).
     out.planned = false;
-    out.report = EmulationReport{};
-    out.robustness = RobustnessReport{};
     out.provisioned_hosts = 0;
     out.total_migrations = 0;
-    try {
-      // The watchdog is an ambient token: the pool's submit() wrapper
-      // carries it into any nested parallel_for chunks this cell spawns,
-      // and the emulator/replay loops poll it at interval boundaries.
-      CancellationSource watchdog =
-          options.cell_deadline_seconds > 0
-              ? CancellationSource::with_deadline(options.cell_deadline_seconds)
-              : CancellationSource();
-      CancellationScope scope(watchdog.token());
-      if (options.cell_hook) options.cell_hook(cell, index, attempt);
-      compute_cell(cell, out);
-    } catch (const CancelledError& e) {
-      out.status = e.timed_out() ? CellStatus::kTimedOut : CellStatus::kFailed;
-      out.error = e.what();
-    } catch (const std::exception& e) {
-      out.status = CellStatus::kFailed;
-      out.error = e.what();
-    } catch (...) {
-      out.status = CellStatus::kFailed;
-      out.error = "unknown exception";
-    }
-    if (out.status != CellStatus::kOk) {
-      // Whatever the attempt computed before it unwound is partial; the
-      // contract says a non-ok cell reports planned == false and
-      // default-constructed reports (workload naming is kept for logs).
-      out.planned = false;
-      out.provisioned_hosts = 0;
-      out.total_migrations = 0;
-      out.report = EmulationReport{};
-      out.robustness = RobustnessReport{};
-    }
-
-    if (out.status == CellStatus::kOk) {
-      MetricsRegistry::global().add_counter("sweep.cells_done");
-      break;
-    }
-    if (out.status == CellStatus::kPlannerFailed) {
-      // Deterministic outcome: retrying would recompute the same refusal.
-      MetricsRegistry::global().add_counter("sweep.cells_failed");
-      break;
-    }
-    MetricsRegistry::global().add_counter(
-        out.status == CellStatus::kTimedOut ? "sweep.cells_timed_out"
-                                            : "sweep.cells_failed");
-    if (attempt >= max_attempts) break;
-    // Budget left: journal the consumed attempt (so a resumed sweep keeps
-    // the same count) and go again.
-    MetricsRegistry::global().add_counter("sweep.cells_retried");
-    if (journal != nullptr)
-      journal->append_failed_attempt(index, attempt, out.status, out.error);
+    out.report = EmulationReport{};
+    out.robustness = RobustnessReport{};
   }
+  MetricsRegistry::global().add_counter(out.status == CellStatus::kOk
+                                            ? "sweep.cells_done"
+                                            : "sweep.cells_failed");
 
   out.wall_seconds = cell_span.stop();
   if (journal != nullptr && journal->append_result(out))
@@ -197,7 +152,6 @@ std::vector<SweepCellResult> SweepDriver::run(
   SweepJournal journal;
   journal.set_io_hooks(journal_hooks_);
   std::vector<bool> replayed(cells.size(), false);
-  std::vector<int> attempts_used(cells.size(), 0);
   if (!options.journal_path.empty()) {
     const std::uint64_t hash = sweep_grid_hash(cells);
     SweepJournal::Recovery recovery =
@@ -212,8 +166,6 @@ std::vector<SweepCellResult> SweepDriver::run(
       results[i] = std::move(replay);
       replayed[i] = true;
     }
-    for (const auto& [index, attempts] : recovery.attempts_used)
-      attempts_used[index] = attempts;
     MetricsRegistry::global().add_counter("sweep.journal.cells_replayed",
                                           recovery.results.size());
   }
@@ -223,8 +175,7 @@ std::vector<SweepCellResult> SweepDriver::run(
       0, cells.size(),
       [&](std::size_t i) {
         if (replayed[i]) return;
-        run_cell(cells[i], i, options, attempts_used[i], journal_ptr,
-                 results[i]);
+        run_cell(cells[i], i, options, journal_ptr, results[i]);
       },
       pool_, /*grain=*/1);
   return results;

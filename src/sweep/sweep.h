@@ -47,13 +47,14 @@ struct SweepCell {
 };
 
 /// How one cell ended. Anything but kOk leaves `planned == false` and the
-/// reports default-constructed; kFailed/kTimedOut carry the exception text
-/// in `error`. No outcome ever aborts or perturbs sibling cells.
+/// reports default-constructed; kFailed carries the exception text in
+/// `error`. No outcome ever aborts or perturbs sibling cells. A cell runs
+/// once: it is a pure function of its SweepCell, so a retry would only
+/// recompute the same outcome.
 enum class CellStatus : std::uint8_t {
   kOk = 0,
   kPlannerFailed = 1,  ///< planner returned no placement (deterministic)
-  kFailed = 2,         ///< the cell threw; retried up to max_attempts
-  kTimedOut = 3,       ///< the per-cell deadline cancelled it cooperatively
+  kFailed = 2,         ///< the cell threw
 };
 
 const char* to_string(CellStatus status) noexcept;
@@ -65,10 +66,7 @@ struct SweepCellResult {
   std::uint64_t seed = 0;
   bool planned = false;  ///< false when the planner failed on this cell
   CellStatus status = CellStatus::kOk;
-  std::string error;  ///< exception text for kFailed / kTimedOut
-  /// Attempts consumed, counting the one that produced this result.
-  /// Journaled, so a resumed sweep keeps the same retry accounting.
-  std::uint32_t attempts = 1;
+  std::string error;  ///< exception text for kFailed
   std::size_t provisioned_hosts = 0;
   std::size_t total_migrations = 0;
   EmulationReport report;  ///< default-constructed when !planned
@@ -80,9 +78,7 @@ struct SweepCellResult {
   double wall_seconds = 0;
 };
 
-/// Durability and isolation knobs for SweepDriver::run. The defaults run
-/// exactly as the pre-journal driver did: no journal, no deadline, one
-/// attempt per cell.
+/// Durability knobs for SweepDriver::run. The defaults journal nothing.
 struct SweepOptions {
   /// Crash-safe cell journal path; empty disables journaling. Completed
   /// cells are appended atomically as they finish, keyed by a content hash
@@ -93,19 +89,10 @@ struct SweepOptions {
   /// or reordered) is detected by its hash and discarded. Without resume,
   /// an existing journal is truncated and the sweep starts clean.
   bool resume = false;
-  /// Per-cell wall-clock watchdog, seconds; <= 0 disables. A cell past its
-  /// deadline is cancelled cooperatively at the next interval boundary and
-  /// recorded as kTimedOut.
-  double cell_deadline_seconds = 0;
-  /// Attempts per cell for kFailed / kTimedOut outcomes (1 = never retry).
-  /// Failed attempts are journaled, so resumed sweeps do not reset the
-  /// retry budget. Planner failures are deterministic and never retried.
-  int max_attempts = 1;
-  /// Test instrumentation: invoked at the start of every attempt (1-based)
-  /// inside the cell's cancellation scope. May throw to simulate transient
-  /// cell failures. Not part of the determinism contract.
-  std::function<void(const SweepCell& cell, std::size_t index, int attempt)>
-      cell_hook;
+  /// Test instrumentation: invoked before each computed (not replayed)
+  /// cell. May throw to simulate a failing cell. Not part of the
+  /// determinism contract.
+  std::function<void(const SweepCell& cell, std::size_t index)> cell_hook;
 };
 
 class SweepDriver {
@@ -129,7 +116,7 @@ class SweepDriver {
   /// reported with planned == false rather than aborting the sweep.
   std::vector<SweepCellResult> run(std::span<const SweepCell> cells) const;
 
-  /// Durable variant: journaled, resumable, watchdogged per `options`. A
+  /// Durable variant: journaled and resumable per `options`. A
   /// resumed sweep replays journaled cells and computes only the rest; the
   /// combined result vector is byte-identical to an uninterrupted run at
   /// any thread count (wall_seconds excepted, as always).

@@ -5,7 +5,11 @@
 // rules so the vmcw_analyze_src gate can't silently rot.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,6 +129,49 @@ TEST(LockOrder, CrossFileCycleTriggersWithOrderedWitnessPath) {
 
 TEST(LockOrder, ConsistentOrderWithAnnotationsPasses) {
   EXPECT_TRUE(analyze_tree_no_audit("lock_ok").empty());
+}
+
+TEST(LockOrder, CycleAnchorsAtItsFirstEdgeWhateverThePathHolds) {
+  // A ')' or ':' in a directory name must not leak into the anchor: the
+  // hit sits at the first edge's file and line, and an allow entry for
+  // that file silences it without going stale.
+  namespace fs = std::filesystem;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("vmcw_analyze_lock_paren_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  fs::create_directories(root / "svc(1)");
+  std::ofstream(root / "svc(1)/s.h")
+      << "class S {\n public:\n  void ab();\n  void ba();\n private:\n"
+         "  Mutex a_;\n  Mutex b_;\n};\n";
+  std::ofstream(root / "svc(1)/s.cpp")
+      << "#include \"s.h\"\nvoid S::ab() {\n  MutexLock l1(a_);\n"
+         "  MutexLock l2(b_);\n}\nvoid S::ba() {\n  MutexLock l1(b_);\n"
+         "  MutexLock l2(a_);\n}\n";
+
+  Options options;
+  options.audit_config = false;
+  std::string error;
+  const auto violations = vmcw::analyze::analyze_paths(
+      root.string(), {"."}, Config{}, options, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "lock-order-cycle");
+  EXPECT_EQ(violations[0].file, "svc(1)/s.cpp");
+  EXPECT_EQ(violations[0].line, 4u);
+
+  Config config;
+  ASSERT_TRUE(Config::parse(
+      "allow svc(1)/s.cpp lock-order-cycle -- reviewed acquisition order\n",
+      config, &error))
+      << error;
+  const auto allowed = vmcw::analyze::analyze_paths(
+      root.string(), {"."}, config, Options{}, &error);
+  EXPECT_TRUE(error.empty()) << error;
+  EXPECT_TRUE(allowed.empty()) << allowed.front().file << ":"
+                               << allowed.front().line << " "
+                               << allowed.front().message;
+  fs::remove_all(root);
 }
 
 // --- layering ---------------------------------------------------------------

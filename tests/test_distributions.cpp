@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "util/stats.h"
@@ -65,6 +66,12 @@ struct MeanCov {
   double mean;
   double cov;
 };
+
+// Names each case without spaces ("mean0.05_cov1"), so the test ids that
+// gtest_discover_tests derives from it match `ctest -N`.
+void PrintTo(const MeanCov& c, std::ostream* os) {
+  *os << "mean" << c.mean << "_cov" << c.cov;
+}
 
 class LognormalRoundtrip : public ::testing::TestWithParam<MeanCov> {};
 

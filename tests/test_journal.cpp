@@ -1,5 +1,5 @@
-// Durable sweep execution: crash-safe journal, resume byte-identity,
-// per-cell failure isolation, watchdog timeouts, and retry accounting.
+// Durable sweep execution: crash-safe journal, resume byte-identity and
+// per-cell failure isolation.
 
 #include "sweep/journal.h"
 
@@ -105,7 +105,6 @@ void expect_results_equal(const SweepCellResult& a, const SweepCellResult& b) {
   EXPECT_EQ(a.planned, b.planned);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.error, b.error);
-  EXPECT_EQ(a.attempts, b.attempts);
   EXPECT_EQ(a.provisioned_hosts, b.provisioned_hosts);
   EXPECT_EQ(a.total_migrations, b.total_migrations);
   expect_reports_equal(a.report, b.report);
@@ -265,6 +264,78 @@ TEST(SweepJournal, GarbageTailIsTruncatedNotTrusted) {
     expect_results_equal(resumed[i], reference[i]);
 }
 
+TEST(SweepJournal, VersionOneJournalIsStaleAndRecomputed) {
+  const auto cells = faulted_grid();
+  const std::uint64_t hash = sweep_grid_hash(cells);
+  const auto reference = SweepDriver().run(cells);
+
+  // One record in the version-1 layout, built from this build's record of
+  // a real cell: the same payload with the little-endian u32 attempt count
+  // that layout carried after the error text spliced back in.
+  TempFile current("test_journal_v1_source.bin");
+  SweepOptions options;
+  options.journal_path = current.path;
+  (void)SweepDriver().run(cells, options);
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(current.path, bytes));
+  const std::size_t header_size = 8 + 4 + 8 + 8;
+  ASSERT_GT(bytes.size(), header_size + kRecordHeaderSize);
+  const std::uint8_t* record = bytes.data() + header_size;
+  wire::ByteReader framing(record, kRecordHeaderSize);
+  ASSERT_EQ(framing.u8(), 1u);  // the result record kind
+  const std::uint64_t length = framing.u64();
+  const std::vector<std::uint8_t> payload(
+      record + kRecordHeaderSize, record + kRecordHeaderSize + length);
+  wire::ByteReader fields(payload.data(), payload.size());
+  (void)fields.u64();  // index
+  const std::string workload = fields.str();
+  (void)fields.u8();  // strategy
+  (void)fields.u64();  // seed
+  (void)fields.u8();  // planned
+  (void)fields.u8();  // status
+  const std::string error = fields.str();
+  const std::size_t after_error =
+      8 + (8 + workload.size()) + 1 + 8 + 1 + 1 + (8 + error.size());
+  std::vector<std::uint8_t> v1_payload = payload;
+  v1_payload.insert(v1_payload.begin() + after_error, {1, 0, 0, 0});
+
+  const char magic[8] = {'V', 'M', 'C', 'W', 'J', 'N', 'L', '1'};
+  std::vector<std::uint8_t> v1 =
+      RecordHeader{magic, 1, 2, {hash, cells.size()}}.encode();
+  const std::vector<std::uint8_t> v1_record = encode_record(1, v1_payload);
+  v1.insert(v1.end(), v1_record.begin(), v1_record.end());
+  const auto write_v1 = [&v1](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(v1.data(), 1, v1.size(), f), v1.size());
+    std::fclose(f);
+  };
+
+  // Opened for resume, the journal is stale and replays nothing.
+  TempFile old_journal("test_journal_v1.bin");
+  write_v1(old_journal.path);
+  {
+    SweepJournal journal;
+    const auto recovery =
+        journal.open(old_journal.path, hash, cells.size(), /*resume=*/true);
+    EXPECT_TRUE(recovery.stale);
+    EXPECT_TRUE(recovery.results.empty());
+  }
+
+  // A resumed sweep over it recomputes every cell.
+  write_v1(old_journal.path);
+  options.journal_path = old_journal.path;
+  options.resume = true;
+  const std::uint64_t replayed_before =
+      MetricsRegistry::global().counter("sweep.journal.cells_replayed");
+  const auto resumed = SweepDriver().run(cells, options);
+  EXPECT_EQ(MetricsRegistry::global().counter("sweep.journal.cells_replayed"),
+            replayed_before);
+  ASSERT_EQ(resumed.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i)
+    expect_results_equal(resumed[i], reference[i]);
+}
+
 /// A cell result with every journaled field set from `i` alone (wall time
 /// included), so the byte pin below depends on the journal format only.
 SweepCellResult pin_result(std::size_t i) {
@@ -276,7 +347,6 @@ SweepCellResult pin_result(std::size_t i) {
   r.planned = i != 2;
   r.status = i == 2 ? CellStatus::kFailed : CellStatus::kOk;
   r.error = i == 2 ? "pinned failure" : "";
-  r.attempts = static_cast<std::uint32_t>(1 + i % 2);
   r.provisioned_hosts = 10 + i;
   r.total_migrations = 3 * i;
   r.report.eval_hours = 48;
@@ -310,8 +380,6 @@ TEST(SweepJournal, FileBytesMatchTheirPin) {
     journal.open(journal_file.path, 0xfeedfacecafebeefULL, /*cell_count=*/4,
                  /*resume=*/false);
     journal.append_result(pin_result(0));
-    journal.append_failed_attempt(1, 1, CellStatus::kTimedOut,
-                                  "pinned timeout");
     journal.append_result(pin_result(1));
     journal.append_result(pin_result(2));
     journal.close();
@@ -322,8 +390,8 @@ TEST(SweepJournal, FileBytesMatchTheirPin) {
   for (int c; (c = std::fgetc(f)) != EOF;)
     bytes.push_back(static_cast<std::uint8_t>(c));
   std::fclose(f);
-  EXPECT_EQ(bytes.size(), 2233u);
-  EXPECT_EQ(wire::fnv1a64(bytes.data(), bytes.size()), 0x268c963e3a03f441ULL);
+  EXPECT_EQ(bytes.size(), 2169u);
+  EXPECT_EQ(wire::fnv1a64(bytes.data(), bytes.size()), 0x85097c2fc13b17c7ULL);
 }
 
 /// Journal hooks that fail the `nth` record append: its write with EIO, or
@@ -403,8 +471,9 @@ TEST(SweepJournal, InjectedWriteAndSyncFailuresLeaveAResumablePrefix) {
     // A resume replays exactly that prefix and recomputes every other cell.
     std::vector<int> computed(cells.size(), 0);
     options.resume = true;
-    options.cell_hook = [&computed](const SweepCell&, std::size_t index,
-                                    int) { ++computed[index]; };
+    options.cell_hook = [&computed](const SweepCell&, std::size_t index) {
+      ++computed[index];
+    };
     const auto resumed = SweepDriver(&pool).run(cells, options);
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ(computed[i], journaled[i] ? 0 : 1) << "cell " << i;
@@ -419,7 +488,7 @@ TEST(SweepIsolation, ThrowingCellFailsInItsSlotWithoutPerturbingSiblings) {
 
   const std::size_t victim = 2;
   SweepOptions options;
-  options.cell_hook = [victim](const SweepCell&, std::size_t index, int) {
+  options.cell_hook = [victim](const SweepCell&, std::size_t index) {
     if (index == victim) throw std::runtime_error("injected cell failure");
   };
   const auto results = SweepDriver().run(cells, options);
@@ -429,103 +498,10 @@ TEST(SweepIsolation, ThrowingCellFailsInItsSlotWithoutPerturbingSiblings) {
       EXPECT_EQ(results[i].status, CellStatus::kFailed);
       EXPECT_FALSE(results[i].planned);
       EXPECT_EQ(results[i].error, "injected cell failure");
-      EXPECT_EQ(results[i].attempts, 1u);
     } else {
       expect_results_equal(results[i], reference[i]);
     }
   }
-}
-
-TEST(SweepIsolation, TimedOutCellsReportWithoutHangingTheSweep) {
-  const auto cells = faulted_grid();
-  SweepOptions options;
-  // A deadline no real cell can meet: every cell must cancel cooperatively
-  // at its first interval boundary — deterministically, at every thread
-  // count — and the sweep itself must still return all slots.
-  options.cell_deadline_seconds = 1e-9;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    ScopedPoolOverride scope(pool);
-    const auto results = SweepDriver(&pool).run(cells, options);
-    ASSERT_EQ(results.size(), cells.size());
-    for (const auto& r : results) {
-      EXPECT_EQ(r.status, CellStatus::kTimedOut) << r.index;
-      EXPECT_FALSE(r.planned);
-      EXPECT_EQ(r.attempts, 1u);
-      EXPECT_FALSE(r.error.empty());
-    }
-  }
-}
-
-TEST(SweepRetry, TransientFailuresRetryUpToBudgetAndSucceed) {
-  const auto cells = faulted_grid();
-  const auto reference = SweepDriver().run(cells);
-
-  const std::size_t flaky = 1;
-  SweepOptions options;
-  options.max_attempts = 3;
-  options.cell_hook = [flaky](const SweepCell&, std::size_t index,
-                              int attempt) {
-    if (index == flaky && attempt < 3)
-      throw std::runtime_error("transient failure");
-  };
-  const auto results = SweepDriver().run(cells, options);
-  ASSERT_EQ(results.size(), reference.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (i == flaky) {
-      EXPECT_EQ(results[i].status, CellStatus::kOk);
-      EXPECT_EQ(results[i].attempts, 3u);
-      // The third attempt computes exactly what a first-try cell would.
-      expect_reports_equal(results[i].report, reference[i].report);
-    } else {
-      EXPECT_EQ(results[i].attempts, 1u);
-      expect_results_equal(results[i], reference[i]);
-    }
-  }
-}
-
-TEST(SweepRetry, ResumeContinuesTheJournaledAttemptCount) {
-  const auto cells = faulted_grid();
-  const std::size_t victim = 0;
-
-  // Simulate a sweep that consumed one attempt of the victim cell and was
-  // then killed before its terminal record: the journal holds exactly one
-  // kAttemptFailed record.
-  TempFile journal_file("test_journal_attempts.bin");
-  {
-    SweepJournal journal;
-    const auto recovery =
-        journal.open(journal_file.path, sweep_grid_hash(cells), cells.size(),
-                     /*resume=*/false);
-    EXPECT_TRUE(recovery.results.empty());
-    journal.append_failed_attempt(victim, 1, CellStatus::kFailed,
-                                  "attempt from the killed run");
-    journal.close();
-  }
-
-  // The resumed sweep must continue at attempt 2, not restart at 1: with
-  // max_attempts=2 and a hook that always throws, the cell exhausts its
-  // budget on the very next try.
-  SweepOptions options;
-  options.journal_path = journal_file.path;
-  options.resume = true;
-  options.max_attempts = 2;
-  options.cell_hook = [victim](const SweepCell&, std::size_t index, int) {
-    if (index == victim) throw std::runtime_error("still failing");
-  };
-  const auto results = SweepDriver().run(cells, options);
-  EXPECT_EQ(results[victim].status, CellStatus::kFailed);
-  EXPECT_EQ(results[victim].attempts, 2u);
-
-  // Terminal failures are terminal: resuming again — even with a hook that
-  // would now succeed — replays the journaled failure instead of silently
-  // granting a fresh budget.
-  SweepOptions replay = options;
-  replay.cell_hook = nullptr;
-  const auto replayed = SweepDriver().run(cells, replay);
-  EXPECT_EQ(replayed[victim].status, CellStatus::kFailed);
-  EXPECT_EQ(replayed[victim].attempts, 2u);
-  EXPECT_EQ(replayed[victim].error, "still failing");
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
-#include <cstdlib>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -496,6 +496,14 @@ struct CycleGraph {
     std::string file;
     std::size_t line = 0;
   };
+  /// One cycle: its witness text, the node it starts from, and the first
+  /// edge's witness site, which anchors the report.
+  struct Cycle {
+    std::string witness;
+    std::string origin;
+    std::string file;
+    std::size_t line = 0;
+  };
   std::map<std::string, std::vector<Edge>> adj;
 
   void add_edge(const std::string& from, const std::string& to,
@@ -509,8 +517,8 @@ struct CycleGraph {
               [](const Edge& a, const Edge& b) { return a.to < b.to; });
   }
 
-  /// All cycle witnesses, one per SCC, deterministically ordered.
-  std::vector<std::string> cycles() const {
+  /// All cycles, one per SCC, ordered by witness text.
+  std::vector<Cycle> cycles() const {
     // Iterative Tarjan (recursion depth is unbounded on path-shaped graphs).
     std::map<std::string, int> index, low, comp;
     std::vector<std::string> stack;
@@ -569,7 +577,7 @@ struct CycleGraph {
     std::map<int, std::vector<std::string>> members;
     for (const auto& [node, c] : comp) members[c].push_back(node);
 
-    std::vector<std::string> out;
+    std::vector<Cycle> out;
     for (auto& [c, nodes] : members) {
       std::sort(nodes.begin(), nodes.end());
       const std::string& origin = nodes.front();
@@ -612,9 +620,12 @@ struct CycleGraph {
       msg << origin;
       for (const Edge* e : path)
         msg << " -> " << e->to << " (" << e->file << ":" << e->line << ")";
-      out.push_back(msg.str());
+      out.push_back({msg.str(), origin, path.front()->file,
+                     path.front()->line});
     }
-    std::sort(out.begin(), out.end());
+    std::sort(out.begin(), out.end(), [](const Cycle& a, const Cycle& b) {
+      return a.witness < b.witness;
+    });
     return out;
   }
 };
@@ -664,11 +675,10 @@ void rule_layering(const Program& prog, std::vector<Violation>& out) {
       }
     }
   }
-  for (const std::string& cycle : files.cycles()) {
-    const std::string first = cycle.substr(0, cycle.find(' '));
-    add(out, first, 0, kRuleLayer,
-        cat("include cycle: ", cycle, "; break the cycle with a forward "
-            "declaration or by splitting the header"));
+  for (const CycleGraph::Cycle& cycle : files.cycles()) {
+    add(out, cycle.origin, 0, kRuleLayer,
+        cat("include cycle: ", cycle.witness, "; break the cycle with a "
+            "forward declaration or by splitting the header"));
   }
 }
 
@@ -834,19 +844,9 @@ void rule_lock_order(const Program& prog, std::vector<Violation>& out) {
       }
     }
   }
-  for (const std::string& cycle : graph.cycles()) {
-    std::string file;
-    std::size_t line = 0;
-    // Anchor the report at the first edge's witness.
-    const std::size_t open = cycle.find('(');
-    if (open != std::string::npos) {
-      const std::size_t colon = cycle.rfind(':', cycle.find(')', open));
-      file = cycle.substr(open + 1, colon - open - 1);
-      line = static_cast<std::size_t>(
-          std::atol(cycle.c_str() + colon + 1));
-    }
-    add(out, file, line, kRuleLock,
-        cat("lock-order cycle: ", cycle,
+  for (const CycleGraph::Cycle& cycle : graph.cycles()) {
+    add(out, cycle.file, cycle.line, kRuleLock,
+        cat("lock-order cycle: ", cycle.witness,
             "; acquisition order over annotated mutexes must be acyclic"));
   }
 }

@@ -17,7 +17,7 @@
 //                         util/rng.h's keyed xoshiro streams.
 //   wall-clock            system/steady/high_resolution_clock, time(),
 //                         gettimeofday & friends in result-affecting code;
-//                         telemetry/cancellation are allowlisted.
+//                         telemetry is allowlisted.
 //   unordered-iteration   range-for over a container declared as
 //                         unordered_{map,set,multimap,multiset} in the same
 //                         file — hash order must never reach results.
