@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 
 #include "core/host_pool.h"
@@ -176,6 +177,13 @@ std::uint64_t counts_hash(const std::vector<std::size_t>& counts) {
   return h;
 }
 
+/// Every VM's host, in VM order.
+std::vector<std::int32_t> host_vector(const Placement& p) {
+  std::vector<std::int32_t> out;
+  for (std::size_t v = 0; v < p.vm_count(); ++v) out.push_back(p.host_of(v));
+  return out;
+}
+
 struct PlanPin {
   std::uint64_t placements;  ///< schedule_hash over every interval
   std::uint64_t migrations;  ///< counts_hash of the migrations vector
@@ -288,19 +296,126 @@ TEST(DynamicPlanner, EqualLoadHostsResolveByIndex) {
   const auto plan = plan_dynamic(vms, settings, cs);
   ASSERT_TRUE(plan.has_value());
 
-  const auto hosts = [](const Placement& p) {
-    std::vector<std::int32_t> out;
-    for (std::size_t v = 0; v < p.vm_count(); ++v) out.push_back(p.host_of(v));
-    return out;
-  };
-  EXPECT_EQ(hosts(plan->per_interval[0]),
+  EXPECT_EQ(host_vector(plan->per_interval[0]),
             (std::vector<std::int32_t>{0, 1, 2, 3, 5, 6}));
-  EXPECT_EQ(hosts(plan->per_interval[1]),
+  EXPECT_EQ(host_vector(plan->per_interval[1]),
             (std::vector<std::int32_t>{0, 3, 5, 3, 5, 6}));
-  EXPECT_EQ(hosts(plan->per_interval.back()),
+  EXPECT_EQ(host_vector(plan->per_interval.back()),
             (std::vector<std::int32_t>{0, 3, 5, 3, 5, 6}));
   EXPECT_EQ(plan->migrations[1], 2u);
   EXPECT_EQ(plan->total_migrations, 2u);
+}
+
+// A free VM drains onto a pinned host it fills to the capacity limit. FFD
+// puts the pinned VM P on host 1 first and the free VM A on empty host 0;
+// the first adaptation then empties host 0 (the lighter one) onto host 1,
+// the only other host. Two boundaries, both on the CPU dimension:
+//   - exact: the predicted sizes are 0.75 and 0.25 of capacity and sum to
+//     it bit for bit;
+//   - epsilon: 0.6 of capacity plus a size chosen so that the sum rounds to
+//     exactly fits_within's limit, capacity * (1 + 1e-9) + 1e-9, while the
+//     next double above the sum does not fit. Here the limit minus A's
+//     size rounds below P's load, so a bound on the host key without slack
+//     for rounding would skip host 1.
+// A's memory share (0.5) exceeds its CPU share, so the CPU bound is the
+// tighter one on host 1.
+TEST(DynamicPlanner, ExactFitHostIsStillFound) {
+  const auto settings = small_settings();
+  const ResourceVector cap =
+      settings.capacity(settings.dynamic_utilization_bound);
+  ASSERT_EQ(cap.cpu_rpe2, 16384.0);
+  const PeakPredictor::Options margins;
+  const std::size_t hours = settings.eval_end();
+  const struct {
+    const char* label;
+    double free_cpu;    ///< A's CPU demand; predicted size is x 1.10
+    double pinned_cpu;  ///< P's CPU demand
+    bool exact;         ///< the sizes sum to capacity bit for bit
+  } cases[] = {
+      {"exact", 3723.6363636363635, 11170.90909090909, true},
+      {"epsilon", 5957.8181967136388, 8936.7272727272721, false},
+  };
+  for (const auto& c : cases) {
+    const std::vector<VmWorkload> vms = {
+        constant_vm("A", c.free_cpu,
+                    0.5 * cap.memory_mb / margins.mem_safety_margin, hours),
+        constant_vm("P", c.pinned_cpu,
+                    0.1 * cap.memory_mb / margins.mem_safety_margin, hours)};
+    const double free_size = c.free_cpu * margins.cpu_safety_margin;
+    const double pinned_size = c.pinned_cpu * margins.cpu_safety_margin;
+    const double sum = pinned_size + free_size;
+    if (c.exact) {
+      ASSERT_EQ(sum, cap.cpu_rpe2) << c.label;
+    } else {
+      ASSERT_GT(sum, cap.cpu_rpe2) << c.label;
+      ASSERT_TRUE(ResourceVector({sum, 0.0}).fits_within(cap)) << c.label;
+      ASSERT_FALSE(ResourceVector({std::nextafter(sum, 2 * sum), 0.0})
+                       .fits_within(cap))
+          << c.label;
+    }
+    ConstraintSet cs(vms.size());
+    cs.pin(1, 1);
+    const auto plan = plan_dynamic(vms, settings, cs);
+    ASSERT_TRUE(plan.has_value()) << c.label;
+    EXPECT_EQ(host_vector(plan->per_interval[0]),
+              (std::vector<std::int32_t>{0, 1}))
+        << c.label;
+    for (std::size_t k = 1; k < plan->per_interval.size(); ++k)
+      EXPECT_EQ(host_vector(plan->per_interval[k]),
+                (std::vector<std::int32_t>{1, 1}))
+          << c.label << " interval " << k;
+    EXPECT_EQ(plan->total_migrations, 1u) << c.label;
+    EXPECT_EQ(plan->max_active_hosts, 2u) << c.label;
+  }
+}
+
+// One VM whose CPU demand is `base` except `high` over hours [from, to).
+VmWorkload step_vm(const char* id, double base, double high, std::size_t from,
+                   std::size_t to, std::size_t hours) {
+  auto vm = constant_vm(id, base, 1024.0, hours);
+  std::vector<double> cpu(hours, base);
+  for (std::size_t h = from; h < to; ++h) cpu[h] = high;
+  vm.cpu_rpe2 = TimeSeries(std::move(cpu));
+  return vm;
+}
+
+// Host slots that grow past the previous placement's bound and empty again.
+// FFD packs {V0, V2} on host 0 and {V1, V3} on host 1. V2 and V3 grow from
+// 0.3 to 0.45 of capacity for four hours, so the predictor sizes them up
+// in intervals 3-4 (the preceding window) and 14-15 (the same window a day
+// later). Then both hosts overflow, the evicted V2 fits no active host and
+// opens host 2, one past the previous bound, and V3 joins it. When the
+// sizes fall back, host 2 is the lightest (ties go to the highest index),
+// and the drain sends V2 to host 0 and V3 to host 1.
+TEST(DynamicPlanner, OpenedHostIsDrainedLater) {
+  const auto settings = small_settings();
+  const ResourceVector cap =
+      settings.capacity(settings.dynamic_utilization_bound);
+  const double margin = PeakPredictor::Options{}.cpu_safety_margin;
+  const std::size_t hours = settings.eval_end();
+  const std::size_t begin = settings.eval_begin();
+  const auto share = [&](double s) { return s * cap.cpu_rpe2 / margin; };
+  const std::vector<VmWorkload> vms = {
+      constant_vm("V0", share(0.6), 1024.0, hours),
+      constant_vm("V1", share(0.6), 1024.0, hours),
+      step_vm("V2", share(0.3), share(0.45), begin + 4, begin + 8, hours),
+      step_vm("V3", share(0.3), share(0.45), begin + 4, begin + 8, hours)};
+  const auto plan = plan_dynamic(vms, settings);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->per_interval.size(), 24u);
+
+  const std::vector<std::int32_t> packed = {0, 1, 0, 1};
+  const std::vector<std::int32_t> spilled = {0, 1, 2, 2};
+  for (std::size_t k = 0; k < plan->per_interval.size(); ++k) {
+    const bool spill = k == 3 || k == 4 || k == 14 || k == 15;
+    EXPECT_EQ(host_vector(plan->per_interval[k]), spill ? spilled : packed)
+        << "interval " << k;
+  }
+  const std::vector<std::size_t> migrations = {0, 0, 0, 2, 0, 2, 0, 0,
+                                               0, 0, 0, 0, 0, 0, 2, 0,
+                                               2, 0, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(plan->migrations, migrations);
+  EXPECT_EQ(plan->max_active_hosts, 3u);
 }
 
 }  // namespace
