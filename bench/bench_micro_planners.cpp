@@ -84,6 +84,7 @@ BENCHMARK(BM_DynamicPlan)
     ->Arg(100)
     ->Arg(400)
     ->Arg(816)
+    ->Arg(1390)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Emulate(benchmark::State& state) {

@@ -6,6 +6,7 @@
 
 #include "core/admission.h"
 #include "core/binpack.h"
+#include "core/capacity_index.h"
 #include "core/predictor.h"
 
 namespace vmcw {
@@ -21,11 +22,15 @@ class GroupModel {
     groups_ = placement_groups(vm_count, constraints);
 
     pinned_.resize(groups_.size(), Placement::kUnplaced);
-    for (std::size_t g = 0; g < groups_.size(); ++g)
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
       for (std::size_t vm : groups_[g]) {
         const std::int32_t p = constraints.pinned_host(vm);
         if (p != Placement::kUnplaced) pinned_[g] = p;
       }
+      if (pinned_[g] != Placement::kUnplaced)
+        pinned_bound_ = std::max(pinned_bound_,
+                                 static_cast<std::size_t>(pinned_[g]) + 1);
+    }
   }
 
   std::size_t count() const { return groups_.size(); }
@@ -33,6 +38,8 @@ class GroupModel {
     return groups_[g];
   }
   std::int32_t pinned_host(std::size_t g) const { return pinned_[g]; }
+  /// 1 + the highest pinned host index (0 without pins).
+  std::size_t pinned_host_bound() const { return pinned_bound_; }
 
   bool allowed_on(std::size_t g, std::int32_t host,
                   const Placement& placement) const {
@@ -43,6 +50,7 @@ class GroupModel {
   const ConstraintSet& constraints_;
   std::vector<std::vector<std::size_t>> groups_;
   std::vector<std::int32_t> pinned_;
+  std::size_t pinned_bound_ = 0;
 };
 
 /// Predicted sizes for the whole plan, filled VM by VM from one batch
@@ -77,26 +85,34 @@ PredictedSizes predict_sizes(std::span<const VmWorkload> vms,
   return sizes;
 }
 
-/// One interval's incremental adaptation.
+/// Incremental adaptation, one interval at a time. One adapter serves a
+/// whole plan: reset() refills its buffers for the next interval.
 class IntervalAdapter {
  public:
-  IntervalAdapter(const GroupModel& model,
-                  std::span<const ResourceVector> group_sizes,
-                  const ResourceVector& capacity, Placement placement)
+  IntervalAdapter(const GroupModel& model, const ResourceVector& capacity)
       : model_(model),
-        sizes_(group_sizes),
         capacity_(capacity),
-        placement_(std::move(placement)) {
-    // Rebuild host state from the placement (host of a group = host of its
-    // first member; all members share a host by construction).
-    host_groups_.resize(max_host_bound());
-    host_load_.resize(host_groups_.size());
-    key_.resize(host_groups_.size());
-    group_host_.resize(model.count(), Placement::kUnplaced);
-    group_key_.resize(model.count());
-    for (std::size_t g = 0; g < model.count(); ++g) {
+        group_host_(model.count()),
+        group_key_(model.count()) {}
+
+  /// Rebuild host state from `previous` under this interval's group sizes
+  /// (host of a group = host of its first member; all members share a host
+  /// by construction). Host lists fill in ascending group order, and each
+  /// load sums its groups in that order from zero, so every list, load and
+  /// key is what a fresh adapter would build.
+  void reset(std::span<const ResourceVector> group_sizes,
+             const Placement& previous) {
+    sizes_ = group_sizes;
+    placement_ = previous;
+    const std::size_t hosts =
+        std::max(placement_.host_index_bound(), model_.pinned_host_bound());
+    host_groups_.resize(hosts);
+    for (auto& list : host_groups_) list.clear();
+    host_load_.assign(hosts, ResourceVector{});
+    key_.assign(hosts, 0.0);
+    for (std::size_t g = 0; g < model_.count(); ++g) {
       group_key_[g] = normalized_load(sizes_[g], capacity_);
-      const std::size_t vm0 = model.members(g).front();
+      const std::size_t vm0 = model_.members(g).front();
       const std::int32_t h = placement_.host_of(vm0);
       group_host_[g] = h;
       if (h != Placement::kUnplaced) {
@@ -104,7 +120,8 @@ class IntervalAdapter {
         host_load_[static_cast<std::size_t>(h)] += sizes_[g];
       }
     }
-    for (std::size_t h = 0; h < host_groups_.size(); ++h) {
+    by_load_.clear();
+    for (std::size_t h = 0; h < hosts; ++h) {
       if (host_groups_[h].empty()) continue;
       key_[h] = normalized_load(host_load_[h], capacity_);
       by_load_.push_back(h);
@@ -136,16 +153,6 @@ class IntervalAdapter {
     std::size_t position;
     std::size_t group;
   };
-
-  std::size_t max_host_bound() const {
-    std::size_t bound = placement_.host_index_bound();
-    for (std::size_t g = 0; g < model_.count(); ++g) {
-      const std::int32_t p = model_.pinned_host(g);
-      if (p != Placement::kUnplaced)
-        bound = std::max(bound, static_cast<std::size_t>(p) + 1);
-    }
-    return bound;
-  }
 
   bool fits(std::size_t host, const ResourceVector& extra) const {
     return (host_load_[host] + extra).fits_within(capacity_);
@@ -225,12 +232,43 @@ class IntervalAdapter {
     return host_groups_.size() - 1;
   }
 
-  /// The most-loaded active host other than `skip` that takes group `g`.
-  std::size_t first_fit(std::size_t g, std::size_t skip) const {
-    for (std::size_t host : by_load_)
+  /// The largest key a host can have and still take `need`. fits_within
+  /// passes only if load_d <= C_d (1 + 1e-9) + 1e-9 - need_d in each
+  /// dimension d, and a host's key is max_d load_d / C_d, so a host keyed
+  /// above the largest of those bounds over C_d fits nowhere. The slack,
+  /// CapacityIndex::slack_for(C_d) plus 1e-8 |need_d|, dominates the
+  /// rounding of the sums, the difference and both divisions, so a host
+  /// that fits is never above the limit. A zero capacity dimension bounds
+  /// nothing.
+  double key_limit(const ResourceVector& need) const {
+    const auto limit = [](double cap, double n) {
+      if (cap <= 0.0) return std::numeric_limits<double>::infinity();
+      return (cap * (1.0 + 1e-9) + 1e-9 - n + CapacityIndex::slack_for(cap) +
+              1e-8 * std::abs(n)) /
+             cap;
+    };
+    return std::max(limit(capacity_.cpu_rpe2, need.cpu_rpe2),
+                    limit(capacity_.memory_mb, need.memory_mb));
+  }
+
+  /// The most-loaded active host other than `skip` that takes group `g`: on
+  /// capacity and constraints, or on capacity alone when `constrained` is
+  /// false. The hosts keyed above key_limit are a prefix of by_load_ that
+  /// fails the capacity check; the scan starts past it and visits the rest
+  /// in order, so it returns the host a full scan would.
+  std::size_t first_fit(std::size_t g, std::size_t skip,
+                        bool constrained = true) const {
+    const double limit = key_limit(sizes_[g]);
+    const auto from = std::partition_point(
+        by_load_.begin(), by_load_.end(),
+        [&](std::size_t host) { return key_[host] > limit; });
+    for (auto it = from; it != by_load_.end(); ++it) {
+      const std::size_t host = *it;
       if (host != skip && fits(host, sizes_[g]) &&
-          model_.allowed_on(g, static_cast<std::int32_t>(host), placement_))
+          (!constrained ||
+           model_.allowed_on(g, static_cast<std::int32_t>(host), placement_)))
         return host;
+    }
     return kNoHost;
   }
 
@@ -305,11 +343,20 @@ class IntervalAdapter {
 
   bool try_empty_host(std::size_t candidate) {
     // Trial relocation: groups in decreasing size, targets in decreasing
-    // load, excluding the candidate itself.
+    // load, excluding the candidate itself. Most trials fail at the first
+    // group, and that is known before anything changes: the first group's
+    // targets are judged on the untouched state (leaving the candidate
+    // changes no other host's load or relative order), and a group no host
+    // takes on capacity fits none under constraints either. A failed trial
+    // rolls back bit for bit, so rejecting it up front leaves the same
+    // state.
+    const std::vector<Ranked>& ranked = largest_first(host_groups_[candidate]);
+    if (first_fit(ranked.front().group, candidate, false) == kNoHost)
+      return false;
     trial_groups_ = host_groups_[candidate];
     const ResourceVector candidate_load = host_load_[candidate];
     moves_.clear();
-    for (const Ranked& r : largest_first(trial_groups_)) {
+    for (const Ranked& r : ranked) {
       const std::size_t g = r.group;
       detach(g);
       const std::size_t target = first_fit(g, candidate);
@@ -345,7 +392,7 @@ class IntervalAdapter {
   }
 
   const GroupModel& model_;
-  std::span<const ResourceVector> sizes_;
+  std::span<const ResourceVector> sizes_;  ///< this interval's group sizes
   ResourceVector capacity_;
   Placement placement_;
   std::vector<std::vector<std::size_t>> host_groups_;
@@ -377,6 +424,7 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
   DynamicPlan plan;
   plan.per_interval.reserve(intervals);
   plan.migrations.reserve(intervals);
+  IntervalAdapter adapter(model, capacity);
 
   for (std::size_t k = 0; k < intervals; ++k) {
     Placement current;
@@ -387,10 +435,9 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
       if (!packed) return std::nullopt;
       current = std::move(packed->placement);
     } else {
-      IntervalAdapter adapter(
-          model,
+      adapter.reset(
           std::span(sizes.groups).subspan(k * model.count(), model.count()),
-          capacity, plan.per_interval.back());
+          plan.per_interval.back());
       adapter.adapt();
       current = adapter.take_placement();
     }

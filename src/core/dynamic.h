@@ -29,13 +29,30 @@
 //     equally loaded hosts picks the lowest index, and consolidation —
 //     walking the list backwards for ascending load — tries the highest
 //     index first.
+//   - First-fit skips the hosts that are too full by their key alone. A
+//     host can take a group of size `need` only if its key is at most
+//     max_d (C_d (1 + 1e-9) + 1e-9 - need_d) / C_d, fits_within's limit
+//     per dimension over the capacity, plus a slack that dominates the
+//     rounding. The hosts above that bound are a prefix of the list, so
+//     the scan starts at its partition point and returns the host a full
+//     scan would.
 //   - A failed drain trial is undone from a log, not from a copy of the
 //     planner state: the candidate's group list and exact load, and each
 //     target with its exact pre-move load. Rollback pops the targets'
 //     groups in reverse and restores the saved loads bit for bit, so a
 //     failed trial leaves every load, list and key exactly as it was.
+//   - Most trials fail at their first group, and that is known before
+//     anything changes: when the candidate's largest group fits no other
+//     host on capacity alone, the trial is rejected without a detach or a
+//     rollback. The first group's targets see the untouched state, and a
+//     capacity misfit fails whatever the constraints say.
 //   - Predicted group sizes are computed once per plan, group by group,
 //     into one intervals x groups table; each interval reads its row.
+//   - One adapter serves the whole plan. Each interval resets its reused
+//     buffers from the previous placement: host lists in ascending group
+//     order (list position is the tie order of eviction and drain trials),
+//     loads summed in that order from zero, then keys and the sorted list,
+//     exactly as a fresh adapter would build them.
 #pragma once
 
 #include <optional>

@@ -92,7 +92,7 @@ void rule_wall_clock(const std::vector<Token>& toks, std::string_view file,
       add(out, file, toks[i].line, kRuleClock,
           cat("wall-clock read '", t,
               "' in result-affecting code; time may only flow into "
-              "telemetry or watchdogs (allowlisted files)"));
+              "telemetry (allowlisted files)"));
     } else if ((t == "time" || t == "clock") && next_text(toks, i) == "(" &&
                !member_access(prev_text(toks, i))) {
       add(out, file, toks[i].line, kRuleClock,
