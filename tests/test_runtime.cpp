@@ -20,6 +20,7 @@
 #include "runtime/telemetry.h"
 #include "test_helpers.h"
 #include "trace/presets.h"
+#include "util/rng.h"
 
 namespace vmcw {
 namespace {
@@ -273,6 +274,53 @@ TEST(Study, SensitivitySweepBitIdenticalAcrossThreadCounts) {
               results[1].dynamic_points[i].utilization_bound);
     EXPECT_EQ(results[0].dynamic_points[i].dynamic_hosts,
               results[1].dynamic_points[i].dynamic_hosts);
+  }
+}
+
+// Figs 13-16 read only each cell's provisioned_hosts from a grid of
+// semi-static, stochastic and one dynamic cell per bound. Planning every
+// bound on one engine observed with the cell seed's estate / monitoring /
+// topology forks must give the same host counts.
+TEST(Study, SensitivitySweepMatchesPerBoundSweepCells) {
+  const std::vector<double> bounds{0.6, 0.8, 1.0};
+  for (const WorkloadSpec& preset : all_workload_specs()) {
+    SCOPED_TRACE(preset.industry);
+    const WorkloadSpec spec = scaled_down(preset, 30, 168);
+
+    std::vector<SweepCell> cells;
+    SweepCell cell;
+    cell.spec = spec;
+    cell.settings = small_settings();
+    cell.seed = kStudySeed;
+    cell.strategy = Strategy::kSemiStatic;
+    cells.push_back(cell);
+    cell.strategy = Strategy::kStochastic;
+    cells.push_back(cell);
+    cell.strategy = Strategy::kDynamic;
+    for (const double bound : bounds) {
+      cell.settings.dynamic_utilization_bound = bound;
+      cells.push_back(cell);
+    }
+    const auto results = SweepDriver().run(cells);
+    for (const auto& r : results) ASSERT_TRUE(r.planned) << r.index;
+
+    const Rng root(kStudySeed);
+    ConsolidationEngine::Config config;
+    config.settings = small_settings();
+    config.monitoring_seed = root.fork("monitoring")();
+    config.topology_seed = root.fork("topology")();
+    ConsolidationEngine engine(std::move(config));
+    engine.observe(generate_datacenter(spec, root.fork("estate")()));
+    const SensitivityResult curve =
+        sensitivity_sweep(engine.planner_view(), small_settings(), bounds);
+
+    EXPECT_EQ(curve.semi_static_hosts, results[0].provisioned_hosts);
+    EXPECT_EQ(curve.stochastic_hosts, results[1].provisioned_hosts);
+    ASSERT_EQ(curve.dynamic_points.size(), bounds.size());
+    for (std::size_t i = 0; i < bounds.size(); ++i)
+      EXPECT_EQ(curve.dynamic_points[i].dynamic_hosts,
+                results[2 + i].provisioned_hosts)
+          << "U=" << bounds[i];
   }
 }
 
