@@ -27,7 +27,7 @@
 
 namespace vmcw::bench {
 
-/// Command-line knobs shared by the sweep-backed benches:
+/// Command-line knobs (the journal flags serve SweepDriver-backed benches):
 ///   [servers]              positional: servers per estate (0 = full scale)
 ///   --resume               replay this bench's cell journal and compute
 ///                          only the cells a previous (killed) run did not
@@ -139,8 +139,8 @@ inline void print_header(const char* figure, const char* caption) {
 }
 
 /// SweepOptions for this bench's durable sweep: journal next to the
-/// telemetry sidecar (journal_<slug>[_<suffix>].bin), resume/deadline from
-/// the command line. Benches with several independent sweeps distinguish
+/// telemetry sidecar (journal_<slug>[_<suffix>].bin), resume from the
+/// command line. Benches with several independent sweeps distinguish
 /// their journals by `suffix`.
 inline SweepOptions sweep_options(const BenchOptions& opts,
                                   const char* suffix = nullptr) {

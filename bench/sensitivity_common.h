@@ -3,13 +3,14 @@
 // host's CPU and memory is reserved for live migration), with the
 // U-independent Semi-Static and Stochastic requirements as reference lines.
 //
-// The grid runs through the durable SweepDriver: two reference cells plus
-// one Dynamic cell per bound, each journaled as it finishes, so a killed
-// figure resumes with --resume and recomputes only the missing bounds.
+// The estate is generated and observed once, exactly as a sweep cell on
+// kStudySeed observes it (observe_cell), and core::sensitivity_sweep plans
+// the two references and every bound on that one warehouse view. Nothing
+// is emulated: the figure reads only host counts.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
 #include "common.h"
@@ -21,68 +22,44 @@ inline int run_sensitivity_bench(const char* figure,
                                  const char* paper_note, int argc,
                                  char** argv) {
   print_header(figure, "Performance vs utilization bound");
-  const BenchOptions opts = parse_options(argc, argv);
+  const int servers = parse_options(argc, argv).servers;
   WorkloadSpec spec = workload_spec_by_name(workload_name);
-  if (opts.servers > 0) spec = scaled_down(spec, opts.servers, spec.hours);
+  if (servers > 0) spec = scaled_down(spec, servers, spec.hours);
   std::printf("workload: %s (%d servers)\n\n", spec.industry.c_str(),
               spec.num_servers);
 
   const std::vector<double> bounds{0.60, 0.65, 0.70, 0.75, 0.80,
                                    0.85, 0.90, 0.95, 1.00};
-  // Cells 0-1 are the U-independent references; cell 2+i is Dynamic at
-  // bounds[i]. One grid, one journal: a resumed run replays whatever the
-  // interrupted one finished.
-  std::vector<SweepCell> cells;
-  {
-    SweepCell cell;
-    cell.spec = spec;
-    cell.settings = baseline_settings();
-    cell.seed = kStudySeed;
-    cell.strategy = Strategy::kSemiStatic;
-    cells.push_back(cell);
-    cell.strategy = Strategy::kStochastic;
-    cells.push_back(cell);
-    cell.strategy = Strategy::kDynamic;
-    for (const double bound : bounds) {
-      cell.settings.dynamic_utilization_bound = bound;
-      cells.push_back(cell);
-    }
+  SensitivityResult curve;
+  try {
+    const ConsolidationEngine engine =
+        observe_cell(spec, baseline_settings(), kStudySeed);
+    curve = sensitivity_sweep(engine.planner_view(), baseline_settings(),
+                              bounds);
+  } catch (const std::exception& e) {
+    std::printf("FAIL: %s\n", e.what());
+    return 1;
   }
-  const auto results = SweepDriver().run(cells, sweep_options(opts));
-  for (const auto& r : results) {
-    if (!r.planned) {
-      std::printf("FAIL: cell %zu (%s) did not plan: %s\n", r.index,
-                  to_string(r.strategy), to_string(r.status));
-      return 1;
-    }
-  }
-  const std::size_t semi_static_hosts = results[0].provisioned_hosts;
-  const std::size_t stochastic_hosts = results[1].provisioned_hosts;
-
   TextTable table({"utilization bound U", "Dynamic hosts",
                    "vs Semi-Static", "vs Stochastic"});
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    const std::size_t dynamic_hosts = results[2 + i].provisioned_hosts;
+  for (const SensitivityPoint& point : curve.dynamic_points) {
+    const auto hosts = static_cast<double>(point.dynamic_hosts);
     table.add_row(
-        {fmt(bounds[i], 2), std::to_string(dynamic_hosts),
-         fmt(static_cast<double>(dynamic_hosts) /
-                 static_cast<double>(semi_static_hosts),
-             3),
-         fmt(static_cast<double>(dynamic_hosts) /
-                 static_cast<double>(stochastic_hosts),
-             3)});
+        {fmt(point.utilization_bound, 2), std::to_string(point.dynamic_hosts),
+         fmt(hosts / static_cast<double>(curve.semi_static_hosts), 3),
+         fmt(hosts / static_cast<double>(curve.stochastic_hosts), 3)});
   }
   std::string out = table.str();
   out += "\nreference lines: Semi-Static = " +
-         std::to_string(semi_static_hosts) +
-         " hosts, Stochastic = " + std::to_string(stochastic_hosts) +
+         std::to_string(curve.semi_static_hosts) +
+         " hosts, Stochastic = " + std::to_string(curve.stochastic_hosts) +
          " hosts (independent of U)\n";
 
   // Where does Dynamic cross the Stochastic line?
   double crossover = -1.0;
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (results[2 + i].provisioned_hosts <= stochastic_hosts) {
-      crossover = bounds[i];
+  for (const SensitivityPoint& point : curve.dynamic_points) {
+    if (point.dynamic_hosts <= curve.stochastic_hosts) {
+      crossover = point.utilization_bound;
       break;
     }
   }

@@ -94,16 +94,22 @@ void section_study(std::string& md, const std::vector<StudyResult>& studies) {
         "for the bursty CPU-intensive estates, where it also contends.\n\n";
 }
 
+/// Figs 13-16's utilization bounds: min_bound to max_bound by bound_step.
+std::vector<double> sensitivity_bounds(const ReportOptions& options) {
+  std::vector<double> bounds;
+  for (double u = options.min_bound; u <= options.max_bound + 1e-9;
+       u += options.bound_step)
+    bounds.push_back(u);
+  return bounds;
+}
+
 void section_sensitivity(std::string& md,
                          const std::vector<Datacenter>& fleets,
                          const StudySettings& settings,
                          const ReportOptions& options) {
   md += "## Sensitivity to the migration reservation (Figures 13-16, "
         "Observation 7)\n\n";
-  std::vector<double> bounds;
-  for (double u = options.min_bound; u <= options.max_bound + 1e-9;
-       u += options.bound_step)
-    bounds.push_back(u);
+  const std::vector<double> bounds = sensitivity_bounds(options);
 
   for (const auto& dc : fleets) {
     const auto sweep = sensitivity_sweep(dc, settings, bounds);
@@ -303,10 +309,7 @@ std::vector<std::string> write_report_data(const std::string& directory,
 
   // Figs 13-16: sensitivity curves.
   {
-    std::vector<double> bounds;
-    for (double u = options.min_bound; u <= options.max_bound + 1e-9;
-         u += options.bound_step)
-      bounds.push_back(u);
+    const std::vector<double> bounds = sensitivity_bounds(options);
     TextTable table({"workload", "utilization_bound", "dynamic_hosts",
                      "semi_static_hosts", "stochastic_hosts"});
     for (const auto& dc : fleets) {

@@ -44,24 +44,29 @@ std::vector<SweepCell> SweepDriver::grid(
   return cells;
 }
 
+ConsolidationEngine observe_cell(const WorkloadSpec& spec,
+                                 const StudySettings& settings,
+                                 std::uint64_t seed) {
+  // Every stream a cell consumes is a keyed fork of the cell seed:
+  // independent of sibling cells and of scheduling order.
+  const Rng root(seed);  // vmcw-lint: allow(rng-construction) root of one sweep cell
+  ConsolidationEngine::Config config;
+  config.settings = settings;
+  config.monitoring_seed = root.fork("monitoring")();
+  config.topology_seed = root.fork("topology")();
+  ConsolidationEngine engine(std::move(config));
+  engine.observe(generate_datacenter(spec, root.fork("estate")()));
+  return engine;
+}
+
 namespace {
 
 /// The pure compute core of one cell: everything it consumes derives from
 /// the cell itself, so the result is a function of `cell` alone.
 void compute_cell(const SweepCell& cell, SweepCellResult& out) {
-  // Every stream this cell consumes is a keyed fork of the cell
-  // seed: independent of sibling cells and of scheduling order.
-  const Rng root(cell.seed);  // vmcw-lint: allow(rng-construction) root of this sweep cell
-  const Datacenter estate =
-      generate_datacenter(cell.spec, root.fork("estate")());
-  out.workload = estate.industry;
-
-  ConsolidationEngine::Config config;
-  config.settings = cell.settings;
-  config.monitoring_seed = root.fork("monitoring")();
-  config.topology_seed = root.fork("topology")();
-  ConsolidationEngine engine(std::move(config));
-  engine.observe(estate);
+  const ConsolidationEngine engine =
+      observe_cell(cell.spec, cell.settings, cell.seed);
+  out.workload = engine.planner_view().industry;
 
   const auto recommendation = engine.recommend(cell.strategy);
   if (!recommendation) {
@@ -85,6 +90,7 @@ void compute_cell(const SweepCell& cell, SweepCellResult& out) {
                             cell.faults.power_domain_outages_per_month > 0.0;
     FailureDomainMap topology;
     if (correlated) topology = engine.failure_domain_map();
+    const Rng root(cell.seed);  // vmcw-lint: allow(rng-construction) root of one sweep cell
     const FaultPlan plan = FaultPlan::generate(
         cell.faults, host_bound, cell.settings, root.fork("chaos")(),
         correlated ? &topology : nullptr);

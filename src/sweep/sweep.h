@@ -46,6 +46,13 @@ struct SweepCell {
   ChaosOptions chaos;
 };
 
+/// The engine every SweepCell plans on: it has observed the estate of
+/// fork("estate") of `seed`, and its monitoring and topology seeds are
+/// fork("monitoring") and fork("topology") of `seed`.
+ConsolidationEngine observe_cell(const WorkloadSpec& spec,
+                                 const StudySettings& settings,
+                                 std::uint64_t seed);
+
 /// How one cell ended. Anything but kOk leaves `planned == false` and the
 /// reports default-constructed; kFailed carries the exception text in
 /// `error`. No outcome ever aborts or perturbs sibling cells. A cell runs

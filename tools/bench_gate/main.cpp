@@ -2,8 +2,8 @@
 // 2 = usage/IO error (including "nothing to compare", so a CI step that
 // forgot to run the benches cannot pass vacuously).
 //
-//   vmcw_bench_gate bench/baselines build/bench \
-//       [--rate-tolerance=0.4] [--time-tolerance=1.0]
+//   vmcw_bench_gate bench/baselines build/bench [--rate-tolerance=0.4]
+//       [--time-tolerance=1.0]
 //
 // Compares every BENCH_*.json present in BOTH directories, in sorted
 // order. Baseline-only or fresh-only files are listed but not judged;
