@@ -36,21 +36,22 @@ void PeakPredictor::predict(const TimeSeries& series, std::size_t begin,
     for (std::size_t start = lo; start < begin + (out.size() - 1) * len;
          start += step)
       table.push_back(peak(series.slice(start, len)));
-  const auto window_peak = [&](std::size_t start) {
-    return table[(start - lo) / step];
-  };
+  // `at` is the table index of window i's own start. lo <= begin whenever
+  // anything is read; otherwise no entry is read.
+  const std::size_t per_window = len / step;
+  const std::size_t per_day = kHoursPerDay / step;
+  std::size_t at = lo != kNone ? (begin - lo) / step : 0;
 
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  for (std::size_t i = 0; i < out.size(); ++i, at += per_window) {
     const std::size_t hour = begin + i * len;
     double estimate = 0.0;
     // Same window on previous days.
     for (std::size_t day = 1; day <= days; ++day) {
-      const std::size_t back = day * kHoursPerDay;
-      if (back > hour) break;
-      estimate = std::max(estimate, window_peak(hour - back));
+      if (day * kHoursPerDay > hour) break;
+      estimate = std::max(estimate, table[at - day * per_day]);
     }
     // Immediately preceding window.
-    if (hour >= len) estimate = std::max(estimate, window_peak(hour - len));
+    if (hour >= len) estimate = std::max(estimate, table[at - per_window]);
     out[i] = estimate * safety_margin;
   }
 }

@@ -20,8 +20,12 @@
 // of days or one `len` before that, so it lies on the grid. Each prediction
 // then folds at most lookback_days + 1 table entries with std::max from
 // 0.0, in the same order as a per-window rescan, and applies the margin
-// last. The entries are the same peak() of the same clamped slices, and
-// max is exact, so every prediction is the same double a rescan gives.
+// last. Because every read lies on the grid, no read divides: window i's
+// own start is entry (begin - lo) / step + i * (len / step), where lo is
+// the first read, and a read d days or one window back is d * (24 / step)
+// or len / step entries before that. The entries are the same peak() of
+// the same clamped slices, and max is exact, so every prediction is the
+// same double a rescan gives.
 #pragma once
 
 #include <cstddef>

@@ -64,6 +64,10 @@ struct PredictedSizes {
   std::vector<ResourceVector> first_interval;
 };
 
+/// Groups per block of predict_sizes: a block's scratch columns are
+/// accumulated in place, then written out as one short run per row.
+constexpr std::size_t kBlockGroups = 32;
+
 PredictedSizes predict_sizes(std::span<const VmWorkload> vms,
                              const GroupModel& model,
                              const PeakPredictor& predictor,
@@ -74,14 +78,25 @@ PredictedSizes predict_sizes(std::span<const VmWorkload> vms,
   sizes.groups.resize(intervals * groups);
   sizes.first_interval.resize(vms.size());
   VmDemandPredictor vm_predictor(predictor);
-  for (std::size_t g = 0; g < groups; ++g)
-    for (std::size_t vm : model.members(g)) {
-      vm_predictor.predict(vms[vm], settings.eval_begin(),
-                           settings.interval_hours, intervals);
-      for (std::size_t k = 0; k < intervals; ++k)
-        sizes.groups[k * groups + g] += vm_predictor.at(k);
-      if (intervals > 0) sizes.first_interval[vm] = vm_predictor.at(0);
+  // Group-major scratch: column b holds group g0 + b over all intervals.
+  std::vector<ResourceVector> block;
+  for (std::size_t g0 = 0; g0 < groups; g0 += kBlockGroups) {
+    const std::size_t width = std::min(kBlockGroups, groups - g0);
+    block.assign(width * intervals, ResourceVector{});
+    for (std::size_t b = 0; b < width; ++b) {
+      ResourceVector* column = block.data() + b * intervals;
+      for (std::size_t vm : model.members(g0 + b)) {
+        vm_predictor.predict(vms[vm], settings.eval_begin(),
+                             settings.interval_hours, intervals);
+        for (std::size_t k = 0; k < intervals; ++k)
+          column[k] += vm_predictor.at(k);
+        if (intervals > 0) sizes.first_interval[vm] = vm_predictor.at(0);
+      }
     }
+    for (std::size_t k = 0; k < intervals; ++k)
+      for (std::size_t b = 0; b < width; ++b)
+        sizes.groups[k * groups + g0 + b] = block[b * intervals + k];
+  }
   return sizes;
 }
 
@@ -141,10 +156,12 @@ class IntervalAdapter {
   static constexpr std::size_t kNoHost =
       std::numeric_limits<std::size_t>::max();
 
-  /// One target of a drain trial and its load before the group arrived.
-  struct TrialMove {
+  /// A drain trial's target as the trial would leave it: its load with
+  /// the groups the trial has sent it so far, and the key of that load.
+  struct Shadow {
     std::size_t host;
     ResourceVector load;
+    double key;
   };
 
   /// A group in largest_first, with its key and its position in the input.
@@ -160,10 +177,14 @@ class IntervalAdapter {
 
   /// by_load_'s order: normalized load descending, host index ascending
   /// among equal loads.
+  static bool precedes(double key_a, std::size_t a, double key_b,
+                       std::size_t b) {
+    return key_a > key_b || (key_a == key_b && a < b);
+  }
   struct LoadOrder {
     const std::vector<double>& key;
     bool operator()(std::size_t a, std::size_t b) const {
-      return key[a] > key[b] || (key[a] == key[b] && a < b);
+      return precedes(key[a], a, key[b], b);
     }
   };
   LoadOrder load_order() const { return {key_}; }
@@ -200,6 +221,12 @@ class IntervalAdapter {
                     host);
   }
 
+  /// Put every member of group `g` on `host` (kUnplaced: on none) in
+  /// placement_, the state the constraint checks read.
+  void assign_members(std::size_t g, std::int32_t host) {
+    for (std::size_t vm : model_.members(g)) placement_.assign(vm, host);
+  }
+
   void detach(std::size_t g) {
     const std::int32_t h = group_host_[g];
     if (h == Placement::kUnplaced) return;
@@ -210,7 +237,7 @@ class IntervalAdapter {
     host_load_[host] -= sizes_[g];
     if (!list.empty()) enlist(host);
     group_host_[g] = Placement::kUnplaced;
-    for (std::size_t vm : model_.members(g)) placement_.unassign(vm);
+    assign_members(g, Placement::kUnplaced);
   }
 
   void attach(std::size_t g, std::size_t host) {
@@ -219,8 +246,7 @@ class IntervalAdapter {
     host_load_[host] += sizes_[g];
     enlist(host);
     group_host_[g] = static_cast<std::int32_t>(host);
-    for (std::size_t vm : model_.members(g))
-      placement_.assign(vm, static_cast<std::int32_t>(host));
+    assign_members(g, static_cast<std::int32_t>(host));
   }
 
   std::size_t open_host() {
@@ -251,25 +277,42 @@ class IntervalAdapter {
                     limit(capacity_.memory_mb, need.memory_mb));
   }
 
-  /// The most-loaded active host other than `skip` that takes group `g`: on
-  /// capacity and constraints, or on capacity alone when `constrained` is
-  /// false. The hosts keyed above key_limit are a prefix of by_load_ that
-  /// fails the capacity check; the scan starts past it and visits the rest
-  /// in order, so it returns the host a full scan would.
-  std::size_t first_fit(std::size_t g, std::size_t skip,
-                        bool constrained = true) const {
-    const double limit = key_limit(sizes_[g]);
+  bool in_shadow(std::size_t host) const {
+    return std::any_of(shadow_.begin(), shadow_.end(),
+                       [&](const Shadow& s) { return s.host == host; });
+  }
+
+  /// The most-loaded active host other than `skip` that takes group `g` on
+  /// capacity and constraints. During a drain trial the list scanned is
+  /// the merge, in load order, of shadow_ and the untouched rest of
+  /// by_load_. The untouched hosts keyed above key_limit are a prefix of
+  /// by_load_ that fails the capacity check; the scan starts past it, so
+  /// it returns the host a full scan would.
+  std::size_t first_fit(std::size_t g, std::size_t skip) const {
+    const ResourceVector& need = sizes_[g];
+    const Shadow* shadow = nullptr;
+    for (const Shadow& s : shadow_)
+      if ((s.load + need).fits_within(capacity_) &&
+          model_.allowed_on(g, static_cast<std::int32_t>(s.host),
+                            placement_)) {
+        shadow = &s;
+        break;
+      }
+    const double limit = key_limit(need);
     const auto from = std::partition_point(
         by_load_.begin(), by_load_.end(),
         [&](std::size_t host) { return key_[host] > limit; });
     for (auto it = from; it != by_load_.end(); ++it) {
       const std::size_t host = *it;
-      if (host != skip && fits(host, sizes_[g]) &&
-          (!constrained ||
-           model_.allowed_on(g, static_cast<std::int32_t>(host), placement_)))
+      if (host == skip || !fits(host, need)) continue;
+      if (shadow != nullptr &&
+          precedes(shadow->key, shadow->host, key_[host], host))
+        break;
+      if (!in_shadow(host) &&
+          model_.allowed_on(g, static_cast<std::int32_t>(host), placement_))
         return host;
     }
-    return kNoHost;
+    return shadow != nullptr ? shadow->host : kNoHost;
   }
 
   /// Evict groups from hosts whose predicted load violates the bound.
@@ -341,54 +384,48 @@ class IntervalAdapter {
     }
   }
 
+  /// Trial relocation: groups in decreasing size, targets in decreasing
+  /// load, excluding the candidate itself, planned on shadow_ before
+  /// anything moves (target loads summed in trial order, as attach sums
+  /// them). placement_ follows the trial group by group for the constraint
+  /// checks. A failed trial only puts placement_ back; a complete one is
+  /// committed by the same detach and attach per group.
   bool try_empty_host(std::size_t candidate) {
-    // Trial relocation: groups in decreasing size, targets in decreasing
-    // load, excluding the candidate itself. Most trials fail at the first
-    // group, and that is known before anything changes: the first group's
-    // targets are judged on the untouched state (leaving the candidate
-    // changes no other host's load or relative order), and a group no host
-    // takes on capacity fits none under constraints either. A failed trial
-    // rolls back bit for bit, so rejecting it up front leaves the same
-    // state.
     const std::vector<Ranked>& ranked = largest_first(host_groups_[candidate]);
-    if (first_fit(ranked.front().group, candidate, false) == kNoHost)
-      return false;
-    trial_groups_ = host_groups_[candidate];
-    const ResourceVector candidate_load = host_load_[candidate];
-    moves_.clear();
+    bool placed = true;
     for (const Ranked& r : ranked) {
-      const std::size_t g = r.group;
-      detach(g);
-      const std::size_t target = first_fit(g, candidate);
+      assign_members(r.group, Placement::kUnplaced);
+      const std::size_t target = first_fit(r.group, candidate);
       if (target == kNoHost) {
-        roll_back(candidate, candidate_load);
-        return false;
+        placed = false;
+        break;
       }
-      moves_.push_back({target, host_load_[target]});
-      attach(g, target);
+      auto it = std::find_if(shadow_.begin(), shadow_.end(),
+                             [&](const Shadow& s) { return s.host == target; });
+      if (it == shadow_.end())
+        it = shadow_.insert(it, {target, host_load_[target], 0.0});
+      it->load += sizes_[r.group];
+      it->key = normalized_load(it->load, capacity_);
+      std::sort(shadow_.begin(), shadow_.end(),
+                [](const Shadow& a, const Shadow& b) {
+                  return precedes(a.key, a.host, b.key, b.host);
+                });
+      assign_members(r.group, static_cast<std::int32_t>(target));
+    }
+    shadow_.clear();
+    if (!placed) {
+      for (const Ranked& r : ranked)
+        assign_members(r.group, static_cast<std::int32_t>(candidate));
+      return false;
+    }
+    // Commit: the trial left each group's members on its target.
+    for (const Ranked& r : ranked) {
+      const std::int32_t target =
+          placement_.host_of(model_.members(r.group).front());
+      detach(r.group);
+      attach(r.group, static_cast<std::size_t>(target));
     }
     return true;
-  }
-
-  /// Undo a failed drain trial from moves_: every target gives back the
-  /// group it took last and gets its pre-move load back bit for bit, then
-  /// the candidate gets its group list (trial_groups_), load and VMs back.
-  void roll_back(std::size_t candidate, const ResourceVector& candidate_load) {
-    for (auto move = moves_.rbegin(); move != moves_.rend(); ++move) {
-      unlist(move->host);
-      host_groups_[move->host].pop_back();
-      host_load_[move->host] = move->load;
-      enlist(move->host);  // a target was active before the trial
-    }
-    if (!host_groups_[candidate].empty()) unlist(candidate);
-    host_groups_[candidate] = trial_groups_;
-    host_load_[candidate] = candidate_load;
-    enlist(candidate);
-    for (std::size_t g : trial_groups_) {
-      group_host_[g] = static_cast<std::int32_t>(candidate);
-      for (std::size_t vm : model_.members(g))
-        placement_.assign(vm, static_cast<std::int32_t>(candidate));
-    }
   }
 
   const GroupModel& model_;
@@ -402,10 +439,9 @@ class IntervalAdapter {
   std::vector<std::int32_t> group_host_;
   std::vector<double> group_key_;  ///< per group: normalized predicted size
   std::vector<std::size_t> pending_;
-  std::vector<TrialMove> moves_;  ///< the current drain trial's targets
-  // Reused across drain trials and sorts.
-  std::vector<std::size_t> trial_groups_;  ///< the drain candidate's groups
-  std::vector<Ranked> ranked_;             ///< largest_first's result
+  /// The current drain trial's targets in load order; empty outside one.
+  std::vector<Shadow> shadow_;
+  std::vector<Ranked> ranked_;  ///< largest_first's result, reused
 };
 
 }  // namespace

@@ -36,18 +36,23 @@
 //     rounding. The hosts above that bound are a prefix of the list, so
 //     the scan starts at its partition point and returns the host a full
 //     scan would.
-//   - A failed drain trial is undone from a log, not from a copy of the
-//     planner state: the candidate's group list and exact load, and each
-//     target with its exact pre-move load. Rollback pops the targets'
-//     groups in reverse and restores the saved loads bit for bit, so a
-//     failed trial leaves every load, list and key exactly as it was.
-//   - Most trials fail at their first group, and that is known before
-//     anything changes: when the candidate's largest group fits no other
-//     host on capacity alone, the trial is rejected without a detach or a
-//     rollback. The first group's targets see the untouched state, and a
-//     capacity misfit fails whatever the constraints say.
-//   - Predicted group sizes are computed once per plan, group by group,
-//     into one intervals x groups table; each interval reads its row.
+//   - A drain trial is planned on a shadow before anything moves. The
+//     shadow is a short list of the trial's targets, each with its load
+//     after the groups the trial sent it (summed in trial order, as attach
+//     sums them) and that load's key. First-fit merges it, in list order,
+//     with the untouched hosts of the list, skipping the candidate. The
+//     placement follows the trial group by group, so the constraint
+//     checks see what a detach and attach per group would show them. A
+//     failed trial only puts the candidate's VMs back in the placement;
+//     a trial in which every group finds a host is committed by the same
+//     detach and attach per group, so every load, list and key ends bit
+//     for bit as moving the groups one by one leaves it. Most trials fail
+//     at their first group and so touch no list at all.
+//   - Predicted group sizes are computed once per plan into one
+//     intervals x groups table, each interval reading its row. The table
+//     is filled in blocks of 32 groups: each block sums its members into
+//     group-major scratch columns (from zero, in member order), then is
+//     copied into the table row by row.
 //   - One adapter serves the whole plan. Each interval resets its reused
 //     buffers from the previous placement: host lists in ascending group
 //     order (list position is the tie order of eviction and drain trials),

@@ -62,8 +62,14 @@ struct ResourceVector {
   }
 
   /// True when both dimensions fit inside `capacity` (<=, with a tiny
-  /// epsilon to absorb floating-point accumulation).
-  bool fits_within(const ResourceVector& capacity) const noexcept;
+  /// relative and absolute slack): demand sums are accumulated in floating
+  /// point, so exact <= comparisons would spuriously reject placements that
+  /// are mathematically tight. Inline, so every host check stays inlined.
+  bool fits_within(const ResourceVector& capacity) const noexcept {
+    constexpr double kEpsilon = 1e-9;
+    return cpu_rpe2 <= capacity.cpu_rpe2 * (1.0 + kEpsilon) + kEpsilon &&
+           memory_mb <= capacity.memory_mb * (1.0 + kEpsilon) + kEpsilon;
+  }
 
   bool operator==(const ResourceVector&) const = default;
 };

@@ -76,7 +76,7 @@ std::vector<Frame> generate_churn(const ChurnOptions& options,
       survivors.reserve(live.size());
       for (LiveVm& vm : live) {
         if (vm.rng.bernoulli(options.departure_prob))
-          frames.push_back(VmDepartureFrame{tick, vm.id});
+          frames.emplace_back(VmDepartureFrame{tick, vm.id});
         else
           survivors.push_back(std::move(vm));
       }

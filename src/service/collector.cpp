@@ -399,7 +399,7 @@ std::vector<std::vector<Frame>> partition_stream(
     if (keep) parts[to].push_back(frame);
   }
   for (std::vector<Frame>& part : parts)
-    part.push_back(ShutdownFrame{last_tick});
+    part.emplace_back(ShutdownFrame{last_tick});
   return parts;
 }
 

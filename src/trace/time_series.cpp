@@ -27,13 +27,6 @@ TimeSeries TimeSeries::zeros(std::size_t n) {
   return TimeSeries(std::vector<double>(n, 0.0));
 }
 
-std::span<const double> TimeSeries::slice(std::size_t begin,
-                                          std::size_t len) const noexcept {
-  if (begin >= samples_.size()) return {};
-  len = std::min(len, samples_.size() - begin);
-  return std::span<const double>(samples_).subspan(begin, len);
-}
-
 TimeSeries TimeSeries::tail(std::size_t n) const {
   if (n >= samples_.size()) return *this;
   return TimeSeries(

@@ -7,6 +7,7 @@
 // consolidation windows of 1, 2, 4, ... hours).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -40,7 +41,12 @@ class TimeSeries {
   std::span<const double> samples() const noexcept { return samples_; }
 
   /// Clamped sub-range view: [begin, begin+len) intersected with the series.
-  std::span<const double> slice(std::size_t begin, std::size_t len) const noexcept;
+  std::span<const double> slice(std::size_t begin,
+                                std::size_t len) const noexcept {
+    if (begin >= samples_.size()) return {};
+    len = std::min(len, samples_.size() - begin);
+    return std::span<const double>(samples_).subspan(begin, len);
+  }
 
   /// Last n samples (all samples if n >= size).
   TimeSeries tail(std::size_t n) const;

@@ -17,16 +17,6 @@ double mean(std::span<const double> xs) noexcept {
   return total / static_cast<double>(xs.size());
 }
 
-double peak(std::span<const double> xs) noexcept {
-  double best = 0.0;
-  bool first = true;
-  for (double x : xs) {
-    if (first || x > best) best = x;
-    first = false;
-  }
-  return first ? 0.0 : best;
-}
-
 double minimum(std::span<const double> xs) noexcept {
   double best = 0.0;
   bool first = true;

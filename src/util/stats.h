@@ -14,8 +14,17 @@ namespace vmcw {
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs) noexcept;
 
-/// Maximum value; 0 for an empty span.
-double peak(std::span<const double> xs) noexcept;
+/// Maximum value; 0 for an empty span. Inline: the predictor's window-peak
+/// table calls it once per entry.
+inline double peak(std::span<const double> xs) noexcept {
+  double best = 0.0;
+  bool first = true;
+  for (double x : xs) {
+    if (first || x > best) best = x;
+    first = false;
+  }
+  return first ? 0.0 : best;
+}
 
 /// Minimum value; 0 for an empty span.
 double minimum(std::span<const double> xs) noexcept;

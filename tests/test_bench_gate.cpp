@@ -60,7 +60,7 @@ TEST(KeyClassifiers, RouteKeysToTheRightRule) {
 
 Sidecar make_sidecar() {
   Sidecar s;
-  s.bench = "t";
+  s.bench = std::string("t");
   s.metrics = {{"wall_seconds", 10.0},
                {"cells_per_sec", 100.0},
                {"frames", 500.0},

@@ -21,7 +21,7 @@ struct Scenario {
   /// Three hosts, two small VMs each.
   Scenario() : placement(6) {
     for (int i = 0; i < 6; ++i)
-      vms.push_back(constant_vm("v" + std::to_string(i), 1000.0, 8192.0, 48));
+      vms.push_back(constant_vm(std::string("v") + std::to_string(i), 1000.0, 8192.0, 48));
     for (std::size_t i = 0; i < 6; ++i)
       placement.assign(i, static_cast<std::int32_t>(i / 2));
   }

@@ -135,7 +135,7 @@ TEST(ExecutionFeasibility, DynamicPlanExecutesWithinTwoHourIntervals) {
 TEST(ExecutionFeasibility, NoMigrationsMeansZeroMakespan) {
   std::vector<VmWorkload> vms;
   for (int i = 0; i < 10; ++i)
-    vms.push_back(constant_vm("v" + std::to_string(i), 500, 2048, 168));
+    vms.push_back(constant_vm(std::string("v") + std::to_string(i), 500, 2048, 168));
   const auto settings = small_settings();
   const auto plan = plan_dynamic(vms, settings);
   ASSERT_TRUE(plan.has_value());
