@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "test_helpers.h"
 #include "trace/presets.h"
 #include "util/stats.h"
 
@@ -170,6 +172,47 @@ TEST(Generator, MemoryFollowsCpuForCoupledServers) {
   const auto s = generate_server(spec, WorkloadClass::kWeb, "s", rng);
   EXPECT_GT(pearson_correlation(s.cpu_util.samples(), s.mem_mb.samples()),
             0.5);
+}
+
+// FNV-1a over every server of one estate: id, app, spec, class, and the
+// bytes of each CPU and memory sample.
+std::uint64_t estate_hash(const Datacenter& dc) {
+  using testing::fnv1a;
+  std::uint64_t h = testing::kFnvBasis;
+  const auto text = [&](const std::string& s) {
+    h = fnv1a(h, s.size(), 8);
+    for (const char c : s) h = fnv1a(h, static_cast<unsigned char>(c), 1);
+  };
+  const auto real = [&](double x) {
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(x), 8);
+  };
+  for (const ServerTrace& s : dc.servers) {
+    text(s.id);
+    text(s.app);
+    text(s.spec.model);
+    for (const double x : {s.spec.cpu_rpe2, s.spec.memory_mb,
+                           s.spec.idle_watts, s.spec.peak_watts,
+                           s.spec.rack_units, s.spec.hardware_cost})
+      real(x);
+    h = fnv1a(h, static_cast<std::uint64_t>(s.klass), 1);
+    for (const double x : s.cpu_util.samples()) real(x);
+    for (const double x : s.mem_mb.samples()) real(x);
+  }
+  return h;
+}
+
+TEST(Generator, FullScalePresetsArePinned) {
+  // The four Table-2 estates at full scale and kStudySeed, every byte the
+  // generator produces. Recompute only for a deliberate generator change.
+  const auto specs = all_workload_specs();
+  const std::uint64_t expected[] = {
+      14905000838761960462ULL, 17237429587073979541ULL,
+      1261930793106009015ULL, 10696449548799432920ULL};
+  ASSERT_EQ(specs.size(), std::size(expected));
+  for (std::size_t i = 0; i < specs.size(); ++i)
+    EXPECT_EQ(estate_hash(generate_datacenter(specs[i], kStudySeed)),
+              expected[i])
+        << specs[i].name;
 }
 
 TEST(Datacenter, AggregateDemand) {
