@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/dynamic.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace vmcw {
 namespace {
@@ -115,6 +118,34 @@ TEST(ScheduleMigrations, StartTimesRespectConstraints) {
   // Longest-first: job 0 starts at 0, job 1 waits for the source slot.
   EXPECT_DOUBLE_EQ(schedule.start_s[0], 0.0);
   EXPECT_DOUBLE_EQ(schedule.start_s[1], 50.0);
+}
+
+TEST(ScheduleMigrations, SeededJobSetsArePinned) {
+  // Random job sets over a few hosts, with durations on a 10 s grid so
+  // ties in the longest-first order and in completion times are common.
+  // FNV-1a of every start time's bits, the makespan and the peak.
+  using testing::fnv1a;
+  std::uint64_t h = testing::kFnvBasis;
+  Rng rng(2014);
+  for (int set = 0; set < 40; ++set) {
+    const auto hosts = rng.uniform_int(2, 12);
+    std::vector<MigrationJob> jobs(
+        static_cast<std::size_t>(rng.uniform_int(0, 80)));
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      jobs[j].vm = j;
+      jobs[j].from = static_cast<std::int32_t>(rng.uniform_int(0, hosts - 1));
+      jobs[j].to = static_cast<std::int32_t>(rng.uniform_int(0, hosts - 1));
+      jobs[j].duration_s = 10.0 * static_cast<double>(rng.uniform_int(1, 60));
+    }
+    const int limit = static_cast<int>(rng.uniform_int(1, 3));
+    const auto schedule = schedule_migrations(jobs, limit);
+    ASSERT_EQ(schedule.start_s.size(), jobs.size());
+    for (const double s : schedule.start_s)
+      h = fnv1a(h, std::bit_cast<std::uint64_t>(s), 8);
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(schedule.makespan_s), 8);
+    h = fnv1a(h, schedule.peak_concurrency, 8);
+  }
+  EXPECT_EQ(h, 14318719265352246488ULL);
 }
 
 TEST(ExecutionFeasibility, DynamicPlanExecutesWithinTwoHourIntervals) {
