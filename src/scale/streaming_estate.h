@@ -2,41 +2,27 @@
 //
 // generate_datacenter materializes every server's full hourly trace — at
 // 1M hosts and 30 days that is tens of gigabytes, which is what caps
-// estate size today. But the generator was built so that every server
-// draws only from its own keyed Rng stream (`master.fork(server_id)`),
-// every application from `master.fork(app_id)`, and keyed forks are
-// order-independent and const: generating server i never consumes state
-// another server needs. A StreamingEstate exploits exactly that purity to
-// regenerate trace windows on demand behind a bounded cache instead of
-// holding the fleet resident — byte-identical to the materialized path,
-// because it replays generate_datacenter's RNG flow draw for draw:
+// estate size today. But the generator splits into a cheap plan
+// (plan_estate: the root stream, the fleet burst train, and each app's
+// server range and class, ~12 bytes per app) and generate_servers over any
+// server range, where every server draws only from its own keyed stream.
+// A StreamingEstate keeps the plan and regenerates fixed-size blocks of
+// consecutive servers through generate_servers on demand, behind a
+// bounded cache, instead of holding the fleet resident. It calls the same
+// code generate_datacenter does, so its servers are the same bytes.
 //
-//   plan pass   — one fork per app id replays the app-size and class
-//                 draws (the burst-train draws that follow on that stream
-//                 are simply not made; no other stream observes them), so
-//                 the whole 1M-server plan costs O(#apps) and ~12 bytes
-//                 per app;
-//   window pass — a requested server's block regenerates each member from
-//                 `master.fork(server_id)` with its app's context rebuilt
-//                 from `master.fork(app_id)` (same replay, then the same
-//                 make_app_context call) — exactly pass 2 of
-//                 generate_datacenter, sharded over the pool.
-//
-// The cache holds whole fixed-size blocks of consecutive servers (the
-// packers and emulator walk the fleet in index order, so block locality is
-// the access pattern) and evicts least-recently-used blocks once resident
-// servers would exceed the configured ceiling. Eviction order depends only
-// on the access sequence — no wall clock — so a run's generation work is
-// as deterministic as its results.
+// The packers and emulator walk the fleet in index order, so block
+// locality is the access pattern. The cache evicts least-recently-used
+// blocks once resident servers would exceed the configured ceiling.
+// Eviction order depends only on the access sequence — no wall clock — so
+// a run's generation work is as deterministic as its results.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "trace/generator.h"
-#include "util/rng.h"
 
 namespace vmcw {
 
@@ -55,9 +41,9 @@ class StreamingEstate {
   StreamingEstate(WorkloadSpec spec, std::uint64_t seed, Options options);
   StreamingEstate(WorkloadSpec spec, std::uint64_t seed);
 
-  std::size_t server_count() const noexcept { return server_count_; }
-  std::size_t app_count() const noexcept { return apps_.size(); }
-  const WorkloadSpec& spec() const noexcept { return spec_; }
+  std::size_t server_count() const noexcept { return plan_.server_count(); }
+  std::size_t app_count() const noexcept { return plan_.apps.size(); }
+  const WorkloadSpec& spec() const noexcept { return plan_.spec; }
 
   /// The server's trace, regenerating its block on a cache miss. The
   /// reference stays valid until a later call evicts the block — callers
@@ -72,26 +58,16 @@ class StreamingEstate {
   std::uint64_t block_misses() const noexcept { return misses_; }
 
  private:
-  struct AppSpan {
-    std::size_t first_server = 0;  ///< apps cover contiguous server ranges
-    std::size_t servers = 0;
-    WorkloadClass klass = WorkloadClass::kWeb;
-  };
   struct Block {
     std::vector<ServerTrace> servers;
     std::uint64_t last_used = 0;
   };
 
-  AppContext app_context(std::size_t app) const;
   Block& ensure_block(std::size_t block);
   void evict_down_to(std::size_t resident_ceiling);
 
-  WorkloadSpec spec_;
+  EstatePlan plan_;
   Options options_;
-  Rng master_;
-  std::vector<double> fleet_bursts_;
-  std::vector<AppSpan> apps_;
-  std::size_t server_count_ = 0;
   std::map<std::size_t, Block> blocks_;  ///< ordered: deterministic walks
   std::uint64_t clock_ = 0;
   std::uint64_t generated_ = 0;

@@ -126,8 +126,6 @@ std::vector<double> generate_mem_series(const MemClassParams& p,
   return mem;
 }
 
-}  // namespace
-
 /// Fleet-wide events land in business hours: market opens, promotions and
 /// breaking news surge when users are active — which is also when a
 /// consolidated host has the least headroom.
@@ -154,6 +152,29 @@ std::vector<double> generate_fleet_events(const WorkloadSpec& spec, Rng& rng) {
   }
   return train;
 }
+
+// One application's carve-up draws from its own keyed stream: its size (the
+// caller clips it to the servers left) and class, leaving the stream where
+// the app's shared context is drawn.
+struct AppDraw {
+  int size = 0;
+  WorkloadClass klass = WorkloadClass::kWeb;
+  Rng rng;
+};
+
+AppDraw draw_app(const WorkloadSpec& spec, const Rng& master,
+                 std::size_t app_index) {
+  AppDraw app;
+  app.rng = master.fork(spec.name + "-app-" + std::to_string(app_index));
+  const int max_size =
+      std::max(static_cast<int>(2.0 * spec.app_size_mean) - 1, 1);
+  app.size = static_cast<int>(app.rng.uniform_int(1, max_size));
+  app.klass = app.rng.bernoulli(spec.web_fraction) ? WorkloadClass::kWeb
+                                                   : WorkloadClass::kBatch;
+  return app;
+}
+
+}  // namespace
 
 AppContext make_app_context(const WorkloadSpec& spec, WorkloadClass klass,
                             Rng& rng, std::span<const double> fleet_bursts) {
@@ -207,69 +228,78 @@ ServerTrace generate_server(const WorkloadSpec& spec, WorkloadClass klass,
   return server;
 }
 
-AppDraw draw_app(const WorkloadSpec& spec, const Rng& master,
-                 std::size_t app_index) {
-  AppDraw app;
-  app.rng = master.fork(spec.name + "-app-" + std::to_string(app_index));
-  const int max_size =
-      std::max(static_cast<int>(2.0 * spec.app_size_mean) - 1, 1);
-  app.size = static_cast<int>(app.rng.uniform_int(1, max_size));
-  app.klass = app.rng.bernoulli(spec.web_fraction) ? WorkloadClass::kWeb
-                                                   : WorkloadClass::kBatch;
-  return app;
+EstatePlan plan_estate(const WorkloadSpec& spec, std::uint64_t seed) {
+  EstatePlan plan;
+  plan.spec = spec;
+  Rng root(seed);  // vmcw-lint: allow(rng-construction) root of estate generation
+  plan.master = root.fork(spec.name + "/" + spec.industry);
+  Rng fleet_rng = plan.master.fork("fleet-events");
+  plan.fleet_bursts = generate_fleet_events(spec, fleet_rng);
+
+  const int target = std::max(spec.num_servers, 0);
+  int produced = 0;
+  while (produced < target) {
+    const AppDraw draw = draw_app(spec, plan.master, plan.apps.size());
+    EstatePlan::App app;
+    app.first_server = static_cast<std::uint32_t>(produced);
+    app.servers =
+        static_cast<std::uint32_t>(std::min(draw.size, target - produced));
+    app.klass = draw.klass;
+    plan.apps.push_back(app);
+    produced += static_cast<int>(app.servers);
+  }
+  return plan;
+}
+
+std::vector<ServerTrace> generate_servers(const EstatePlan& plan,
+                                          std::size_t begin, std::size_t end) {
+  const WorkloadSpec& spec = plan.spec;
+  end = std::min(end, plan.server_count());
+  begin = std::min(begin, end);
+
+  // Apps cover contiguous server ranges, so the range's apps are a
+  // contiguous run starting at the app holding `begin`.
+  const auto first_app = static_cast<std::size_t>(std::distance(
+      plan.apps.begin(),
+      std::upper_bound(plan.apps.begin(), plan.apps.end(), begin,
+                       [](std::size_t s, const EstatePlan::App& a) {
+                         return s < std::size_t{a.first_server} + a.servers;
+                       })));
+  std::vector<AppContext> contexts;
+  std::vector<std::size_t> app_of(end - begin);
+  for (std::size_t app = first_app;
+       app < plan.apps.size() && plan.apps[app].first_server < end; ++app) {
+    AppDraw draw = draw_app(spec, plan.master, app);
+    contexts.push_back(
+        make_app_context(spec, draw.klass, draw.rng, plan.fleet_bursts));
+    const EstatePlan::App& a = plan.apps[app];
+    const std::size_t lo = std::max<std::size_t>(a.first_server, begin);
+    const std::size_t hi =
+        std::min<std::size_t>(std::size_t{a.first_server} + a.servers, end);
+    for (std::size_t s = lo; s < hi; ++s) app_of[s - begin] = app;
+  }
+
+  // The expensive trace synthesis: every server draws only from its own
+  // stream keyed by id, so adding or removing servers does not perturb the
+  // others, and each task writes only its own slot.
+  std::vector<ServerTrace> servers(end - begin);
+  parallel_for(0, servers.size(), [&](std::size_t i) {
+    const std::size_t app = app_of[i];
+    const std::string id = spec.name + "-srv-" + std::to_string(begin + i + 1);
+    Rng server_rng = plan.master.fork(id);
+    servers[i] = generate_server(spec, plan.apps[app].klass, id, server_rng,
+                                 &contexts[app - first_app]);
+    servers[i].app = spec.name + "-app-" + std::to_string(app);
+  });
+  return servers;
 }
 
 Datacenter generate_datacenter(const WorkloadSpec& spec, std::uint64_t seed) {
   Datacenter dc;
   dc.name = spec.name;
   dc.industry = spec.industry;
-
-  Rng root(seed);  // vmcw-lint: allow(rng-construction) root of estate generation
-  Rng master = root.fork(spec.name + "/" + spec.industry);
-  Rng fleet_rng = master.fork("fleet-events");
-  const std::vector<double> fleet_bursts = generate_fleet_events(spec, fleet_rng);
-
-  // Pass 1 (serial, cheap): carve the fleet into applications and draw each
-  // app's shared context from its own keyed stream. One application at a
-  // time: size ~ Uniform[1, 2*mean-1], one class for all of its servers,
-  // one shared context.
-  struct ServerPlan {
-    std::string id;
-    WorkloadClass klass = WorkloadClass::kWeb;
-    std::size_t app = 0;
-  };
-  std::vector<AppContext> apps;
-  std::vector<ServerPlan> plans;
-  plans.reserve(static_cast<std::size_t>(std::max(spec.num_servers, 0)));
-  int produced = 0;
-  while (produced < spec.num_servers) {
-    AppDraw app = draw_app(spec, master, apps.size());
-    const int app_size = std::min(app.size, spec.num_servers - produced);
-    apps.push_back(make_app_context(spec, app.klass, app.rng, fleet_bursts));
-
-    for (int j = 0; j < app_size; ++j) {
-      ServerPlan plan;
-      plan.id = spec.name + "-srv-" + std::to_string(produced + 1);
-      plan.klass = app.klass;
-      plan.app = apps.size() - 1;
-      plans.push_back(std::move(plan));
-      ++produced;
-    }
-  }
-
-  // Pass 2 (parallel, the expensive trace synthesis): every server draws
-  // only from its own stream keyed by id — adding or removing servers does
-  // not perturb the traces of the others, and sharding the loop across the
-  // pool writes each trace into its own slot, bit-identical to the serial
-  // order at any VMCW_THREADS.
-  dc.servers.resize(plans.size());
-  parallel_for(0, plans.size(), [&](std::size_t i) {
-    const ServerPlan& plan = plans[i];
-    Rng server_rng = master.fork(plan.id);
-    dc.servers[i] = generate_server(spec, plan.klass, plan.id, server_rng,
-                                    &apps[plan.app]);
-    dc.servers[i].app = spec.name + "-app-" + std::to_string(plan.app);
-  });
+  const EstatePlan plan = plan_estate(spec, seed);
+  dc.servers = generate_servers(plan, 0, plan.server_count());
   return dc;
 }
 
