@@ -132,15 +132,17 @@ RobustnessReport replay_under_faults(std::span<const VmWorkload> vms,
         runnable.push_back(job);
       }
       if (!runnable.empty()) {
-        const auto outcome = schedule_migrations_with_retries(
-            runnable, options.per_host_migration_limit, options.retry,
-            interval_s,
-            [&](std::size_t j, int attempt) {
-              return plan.migration_attempt_fails(runnable[j].vm, k, attempt);
-            },
-            [&](std::size_t j) {
-              return plan.migration_slowdown(runnable[j].vm, k);
-            });
+        MigrationFaults faults;
+        faults.policy = options.retry;
+        faults.deadline_s = interval_s;
+        faults.attempt_fails = [&](std::size_t j, int attempt) {
+          return plan.migration_attempt_fails(runnable[j].vm, k, attempt);
+        };
+        faults.slowdown = [&](std::size_t j) {
+          return plan.migration_slowdown(runnable[j].vm, k);
+        };
+        const auto outcome = schedule_migrations(
+            runnable, options.per_host_migration_limit, faults);
         rob.migration_attempts += outcome.total_attempts;
         rob.failed_migration_attempts += outcome.failed_attempts;
         rob.migration_retries += outcome.retries;

@@ -32,73 +32,6 @@ std::vector<MigrationJob> migration_jobs(const Placement& prev,
   return jobs;
 }
 
-MigrationSchedule schedule_migrations(std::span<const MigrationJob> jobs,
-                                      int per_host_limit) {
-  MigrationSchedule schedule;
-  schedule.start_s.assign(jobs.size(), 0.0);
-  if (jobs.empty()) return schedule;
-  per_host_limit = std::max(per_host_limit, 1);
-
-  // Longest job first.
-  std::vector<std::size_t> order(jobs.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return jobs[a].duration_s > jobs[b].duration_s;
-                   });
-
-  // Event-driven list scheduling.
-  std::map<std::int32_t, int> busy;  // concurrent migrations per host
-  struct Running {
-    double finish;
-    std::size_t job;
-  };
-  auto later = [](const Running& a, const Running& b) {
-    return a.finish > b.finish;
-  };
-  std::priority_queue<Running, std::vector<Running>, decltype(later)>
-      running(later);
-  std::vector<bool> started(jobs.size(), false);
-  double now = 0.0;
-  std::size_t remaining = jobs.size();
-  std::size_t concurrent = 0;
-
-  while (remaining > 0 || !running.empty()) {
-    // Start everything startable at `now`.
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (std::size_t idx : order) {
-        if (started[idx]) continue;
-        const auto& job = jobs[idx];
-        if (busy[job.from] >= per_host_limit ||
-            busy[job.to] >= per_host_limit)
-          continue;
-        started[idx] = true;
-        --remaining;
-        ++busy[job.from];
-        ++busy[job.to];
-        schedule.start_s[idx] = now;
-        running.push({now + job.duration_s, idx});
-        ++concurrent;
-        schedule.peak_concurrency =
-            std::max(schedule.peak_concurrency, concurrent);
-        progress = true;
-      }
-    }
-    if (running.empty()) break;  // nothing running and nothing startable
-    // Advance to the next completion.
-    const Running done = running.top();
-    running.pop();
-    now = done.finish;
-    --busy[jobs[done.job].from];
-    --busy[jobs[done.job].to];
-    --concurrent;
-    schedule.makespan_s = std::max(schedule.makespan_s, done.finish);
-  }
-  return schedule;
-}
-
 double RetryPolicy::backoff_for(int failures) const noexcept {
   if (failures <= 0) return 0.0;
   double backoff = backoff_base_s;
@@ -106,25 +39,27 @@ double RetryPolicy::backoff_for(int failures) const noexcept {
   return std::min(backoff, backoff_cap_s);
 }
 
-FaultyMigrationSchedule schedule_migrations_with_retries(
-    std::span<const MigrationJob> jobs, int per_host_limit,
-    const RetryPolicy& policy, double deadline_s,
-    const std::function<bool(std::size_t, int)>& attempt_fails,
-    const std::function<double(std::size_t)>& slowdown) {
-  FaultyMigrationSchedule result;
+MigrationSchedule schedule_migrations(std::span<const MigrationJob> jobs,
+                                      int per_host_limit,
+                                      const MigrationFaults& faults) {
+  MigrationSchedule result;
+  result.start_s.assign(jobs.size(), 0.0);
   result.jobs.assign(jobs.size(), JobAttempts{});
   if (jobs.empty()) return result;
   per_host_limit = std::max(per_host_limit, 1);
+  const RetryPolicy& policy = faults.policy;
+  const double deadline_s = faults.deadline_s;
   const int max_attempts = std::max(policy.max_attempts, 1);
 
   // Effective durations: a slowed migration runs longer on every attempt.
   std::vector<double> duration(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const double factor = slowdown ? std::max(slowdown(j), 1.0) : 1.0;
+    const double factor =
+        faults.slowdown ? std::max(faults.slowdown(j), 1.0) : 1.0;
     duration[j] = jobs[j].duration_s * factor;
   }
 
-  // Longest job first, as in the fault-free scheduler.
+  // Longest job first.
   std::vector<std::size_t> order(jobs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -147,6 +82,7 @@ FaultyMigrationSchedule schedule_migrations_with_retries(
   std::priority_queue<Running, std::vector<Running>, decltype(later)> running(
       later);
   double now = 0.0;
+  std::size_t concurrent = 0;
 
   auto abandon = [&](std::size_t idx) {
     state[idx] = State::kAbandoned;
@@ -175,7 +111,11 @@ FaultyMigrationSchedule schedule_migrations_with_retries(
         ++result.total_attempts;
         ++busy[job.from];
         ++busy[job.to];
+        result.start_s[idx] = now;
         running.push({now + duration[idx], idx});
+        ++concurrent;
+        result.peak_concurrency =
+            std::max(result.peak_concurrency, concurrent);
         progress = true;
       }
     }
@@ -196,8 +136,9 @@ FaultyMigrationSchedule schedule_migrations_with_retries(
     const std::size_t idx = done.job;
     --busy[jobs[idx].from];
     --busy[jobs[idx].to];
+    --concurrent;
     const int attempt = result.jobs[idx].attempts - 1;  // 0-based
-    if (attempt_fails && attempt_fails(idx, attempt)) {
+    if (faults.attempt_fails && faults.attempt_fails(idx, attempt)) {
       ++result.failed_attempts;
       if (result.jobs[idx].attempts >= max_attempts) {
         abandon(idx);
