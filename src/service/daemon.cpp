@@ -27,6 +27,17 @@ void count_batch(DaemonStats& stats, const DecisionBatchFrame& batch) {
   }
 }
 
+// Append a recomputed decision batch unless it is one of the `skip` batches
+// already durable from before a crash, then count it.
+void emit_batch(FrameLog& decisions, std::size_t& skip, bool durable,
+                const DecisionBatchFrame& batch, DaemonStats& stats) {
+  if (skip > 0)
+    --skip;
+  else if (!decisions.append(batch, durable))
+    throw std::runtime_error("decision log append failed");
+  count_batch(stats, batch);
+}
+
 }  // namespace
 
 Daemon::Daemon(ControllerConfig config, Options options)
@@ -103,7 +114,7 @@ Daemon::OpenResult Daemon::open() {
   // Re-apply the recovered suffix — every frame the scan kept — recomputing
   // every decision batch but appending only the ones the crash lost: the
   // resumed decision log is byte-identical to an uninterrupted run.
-  for (const Frame& frame : wal.frames) apply(frame, /*emit=*/true);
+  for (const Frame& frame : wal.frames) apply_frame(frame);
   result.frames_recovered = wal.frames.size();
   result.wal_frames = std::move(wal.frames);
   result.shutdowns_recovered = shutdowns_applied_;
@@ -113,33 +124,25 @@ Daemon::OpenResult Daemon::open() {
 }
 
 DecisionBatchFrame Daemon::ingest(const Frame& frame) {
-  if (!wal_.append(frame, options_.durable))
+  if (!append_many({&frame, 1}))
     throw std::runtime_error("Daemon: WAL append failed; frame not applied");
-  return apply(frame, /*emit=*/true);
+  return apply_frame(frame);
 }
 
-bool Daemon::append_many(const std::vector<Frame>& frames) {
+bool Daemon::append_many(std::span<const Frame> frames) {
   for (const Frame& frame : frames)
     if (!wal_.append(frame, /*sync=*/false)) return false;
   return !options_.durable || frames.empty() || wal_.sync();
 }
 
 DecisionBatchFrame Daemon::apply_frame(const Frame& frame) {
-  return apply(frame, /*emit=*/true);
-}
-
-DecisionBatchFrame Daemon::apply(const Frame& frame, bool emit) {
   ++stats_.frames;
   ++frames_applied_;
   if (std::holds_alternative<ShutdownFrame>(frame)) ++shutdowns_applied_;
   if (const auto* flush = std::get_if<FlushFrame>(&frame)) {
     DecisionBatchFrame batch = controller_.tick(flush->tick);
     ++batches_total_;
-    if (batches_skipped_ > 0)
-      --batches_skipped_;  // already durable from before the crash
-    else if (emit && !decisions_.append(batch, options_.durable))
-      throw std::runtime_error("Daemon: decision log append failed");
-    count_batch(stats_, batch);
+    emit_batch(decisions_, batches_skipped_, options_.durable, batch, stats_);
     return batch;
   }
   controller_.apply(frame);
@@ -208,12 +211,8 @@ DaemonStats replay_wal(const std::string& wal_path,
   for (const Frame& frame : wal.frames) {
     ++stats.frames;
     if (const auto* flush = std::get_if<FlushFrame>(&frame)) {
-      DecisionBatchFrame batch = controller.tick(flush->tick);
-      if (skip > 0)
-        --skip;
-      else if (!decisions.append(batch, durable))
-        throw std::runtime_error("replay_wal: decision log append failed");
-      count_batch(stats, batch);
+      emit_batch(decisions, skip, durable, controller.tick(flush->tick),
+                 stats);
     } else {
       controller.apply(frame);
     }

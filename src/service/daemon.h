@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -123,10 +124,10 @@ class Daemon {
   /// once this returned true (the cumulative Ack needs the durability, not
   /// the apply); after false the WAL is closed and no frame of the run may
   /// be applied or acked.
-  bool append_many(const std::vector<Frame>& frames);
+  bool append_many(std::span<const Frame> frames);
 
   /// Batched ingestion, step 2: feed one already-durable frame to the
-  /// controller (identical to the apply half of ingest(), throws alike).
+  /// controller (the apply half of ingest(), throws alike).
   DecisionBatchFrame apply_frame(const Frame& frame);
 
   /// Checkpoint now if the cadence (frames or seconds) says so. Callers
@@ -183,8 +184,6 @@ class Daemon {
   bool probe_wal() { return wal_.sync(); }
 
  private:
-  DecisionBatchFrame apply(const Frame& frame, bool emit);
-
   ControllerConfig config_;
   Options options_;
   std::uint64_t fleet_hash_ = 0;
