@@ -156,9 +156,7 @@ void section_validation(std::string& md) {
   md += table.markdown() + "\n";
 }
 
-}  // namespace
-
-std::string build_paper_report(const ReportOptions& options) {
+std::vector<Datacenter> report_fleets(const ReportOptions& options) {
   std::vector<Datacenter> fleets;
   for (const auto& preset : all_workload_specs()) {
     const WorkloadSpec spec =
@@ -167,6 +165,13 @@ std::string build_paper_report(const ReportOptions& options) {
             : preset;
     fleets.push_back(generate_datacenter(spec, options.seed));
   }
+  return fleets;
+}
+
+}  // namespace
+
+std::string build_paper_report(const ReportOptions& options) {
+  const std::vector<Datacenter> fleets = report_fleets(options);
   const StudySettings settings;
   std::vector<StudyResult> studies;
   for (const auto& dc : fleets) studies.push_back(run_study(dc, settings));
@@ -190,18 +195,6 @@ std::string build_paper_report(const ReportOptions& options) {
 }
 
 namespace {
-
-std::vector<Datacenter> report_fleets(const ReportOptions& options) {
-  std::vector<Datacenter> fleets;
-  for (const auto& preset : all_workload_specs()) {
-    const WorkloadSpec spec =
-        options.servers_per_dc > 0
-            ? scaled_down(preset, options.servers_per_dc, preset.hours)
-            : preset;
-    fleets.push_back(generate_datacenter(spec, options.seed));
-  }
-  return fleets;
-}
 
 void write_file(const std::string& path, const std::string& content,
                 std::vector<std::string>& written) {
