@@ -144,10 +144,12 @@ class IntervalAdapter {
     std::sort(by_load_.begin(), by_load_.end(), load_order());
   }
 
-  void adapt() {
+  /// False when an evicted group has no host its constraints allow.
+  bool adapt() {
     repair_overloaded_hosts();
-    place_pending();
+    if (!place_pending()) return false;
     consolidate();
+    return true;
   }
 
   Placement take_placement() { return std::move(placement_); }
@@ -249,13 +251,28 @@ class IntervalAdapter {
     assign_members(g, static_cast<std::int32_t>(host));
   }
 
-  std::size_t open_host() {
-    for (std::size_t h = 0; h < host_groups_.size(); ++h)
-      if (host_groups_[h].empty()) return h;
-    host_groups_.emplace_back();
-    host_load_.emplace_back();
-    key_.emplace_back();
-    return host_groups_.size() - 1;
+  /// The lowest empty host that group `g`'s constraints allow, growing the
+  /// host set when it lies past the end; kNoHost when there is none. A
+  /// pinned group can only land on its pin, so the probe stops there, as
+  /// admit_group's does. Any other group finds a host: plan_dynamic takes
+  /// only structurally feasible constraint sets, under which an empty host
+  /// is refused only by a forbid or a spread domain already at its cap,
+  /// and there are finitely many of both.
+  std::size_t open_host(std::size_t g) {
+    const std::int32_t pin = model_.pinned_host(g);
+    for (std::size_t h = 0;; ++h) {
+      if (pin != Placement::kUnplaced && h > static_cast<std::size_t>(pin))
+        return kNoHost;
+      if (h < host_groups_.size() && !host_groups_[h].empty()) continue;
+      if (!model_.allowed_on(g, static_cast<std::int32_t>(h), placement_))
+        continue;
+      if (h >= host_groups_.size()) {
+        host_groups_.resize(h + 1);
+        host_load_.resize(h + 1);
+        key_.resize(h + 1);
+      }
+      return h;
+    }
   }
 
   /// The largest key a host can have and still take `need`. fits_within
@@ -351,14 +368,18 @@ class IntervalAdapter {
     }
   }
 
-  /// First-fit pending groups onto the most-loaded feasible hosts.
-  void place_pending() {
+  /// First-fit pending groups onto the most-loaded feasible hosts, else
+  /// onto an allowed empty one (which always fits a single group); false
+  /// when a group has neither.
+  bool place_pending() {
     for (const Ranked& r : largest_first(pending_)) {
-      const std::size_t host = first_fit(r.group, kNoHost);
-      // A fresh host always fits a single group.
-      attach(r.group, host != kNoHost ? host : open_host());
+      std::size_t host = first_fit(r.group, kNoHost);
+      if (host == kNoHost) host = open_host(r.group);
+      if (host == kNoHost) return false;
+      attach(r.group, host);
     }
     pending_.clear();
+    return true;
   }
 
   /// Try to empty the most lightly loaded hosts entirely; commit only when
@@ -474,7 +495,7 @@ std::optional<DynamicPlan> plan_dynamic(std::span<const VmWorkload> vms,
       adapter.reset(
           std::span(sizes.groups).subspan(k * model.count(), model.count()),
           plan.per_interval.back());
-      adapter.adapt();
+      if (!adapter.adapt()) return std::nullopt;
       current = adapter.take_placement();
     }
 

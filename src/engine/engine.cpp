@@ -1,6 +1,7 @@
 #include "engine/engine.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "runtime/telemetry.h"
 #include "topology/spread.h"
@@ -98,7 +99,7 @@ ConsolidationEngine::recommend(Strategy strategy) const {
       if (!plan) return std::nullopt;
       rec.schedule = {plan->placement};
       rec.provisioned_hosts = plan->hosts_used;
-      return rec;
+      break;
     }
     case Strategy::kDynamic: {
       auto plan = plan_dynamic(vms_, config_.settings, constraints);
@@ -119,7 +120,16 @@ ConsolidationEngine::recommend(Strategy strategy) const {
     }
   }
 
+  // Every interval's placement must obey the rules it was planned under;
+  // a violation is a planner bug, never a plan to score.
+  for (const Placement& placement : rec.schedule)
+    if (!constraints.satisfied_by(placement))
+      throw std::logic_error(std::string("recommend: ") + to_string(strategy) +
+                             " plan violates its constraints");
+
   // Execution feasibility for the strategies that live-migrate.
+  if (strategy != Strategy::kDynamic && strategy != Strategy::kHybrid)
+    return rec;
   rec.execution = execution_feasibility(
       rec.schedule, vms_, config_.settings.eval_begin(),
       config_.settings.interval_hours, MigrationConfig{});

@@ -9,10 +9,12 @@
 
 #include "core/host_pool.h"
 #include "core/hybrid.h"
+#include "core/planners.h"
 #include "core/predictor.h"
 #include "test_helpers.h"
 #include "topology/failure_domains.h"
 #include "topology/spread.h"
+#include "util/rng.h"
 
 namespace vmcw {
 namespace {
@@ -245,7 +247,8 @@ TEST(DynamicPlanner, GoldenPlacementPins) {
   ASSERT_FALSE(cs.spread_rules().empty());
   const auto plan = plan_dynamic(vms, settings, cs);
   ASSERT_TRUE(plan.has_value());
-  expect_pin(*plan, {10123193729305138312ULL, 744528004265026439ULL, 846, 15},
+  expect_pin(*plan,
+             {15204549670672274374ULL, 14566112838636181314ULL, 1111, 15},
              "constrained");
 
   // Hybrid: the dynamic block plans through plan_dynamic.
@@ -512,6 +515,76 @@ TEST(DynamicPlanner, OpenedHostIsDrainedLater) {
                                                2, 0, 0, 0, 0, 0, 0, 0};
   EXPECT_EQ(plan->migrations, migrations);
   EXPECT_EQ(plan->max_active_hosts, 3u);
+}
+
+// Property: every placement a planner returns obeys the constraints it was
+// planned under. Random affinity and anti-affinity pairs, pins and
+// spread-k rules over racks of two hosts, through the semi-static,
+// stochastic and dynamic planners; hybrid supports spread rules only, so
+// it gets just those. Dynamic re-plans evict groups that then need a host
+// the rules allow, where an empty host is not always one.
+TEST(PlanConstraints, RandomConstraintSetsHoldInEveryPlacement) {
+  const auto settings = small_settings();
+  const auto vms = small_fleet(60, 7);
+  const std::size_t n = vms.size();
+  DomainLookup racks;
+  racks.tail_first_domain = 0;
+  racks.tail_hosts_per_domain = 2;
+  Rng rng(1208);
+  const auto pick = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t dynamic_plans = 0;
+  std::size_t hybrid_plans = 0;
+  for (int trial = 0; trial < 16; ++trial) {
+    ConstraintSet cs(n);
+    ConstraintSet spread_only(n);
+    for (auto i = rng.uniform_int(0, 3); i > 0; --i)
+      cs.add_affinity(pick(), pick());
+    for (auto i = rng.uniform_int(0, 6); i > 0; --i) {
+      const std::size_t a = pick();
+      const std::size_t b = pick();
+      if (a != b) cs.add_anti_affinity(a, b);
+    }
+    for (auto i = rng.uniform_int(0, 2); i > 0; --i)
+      cs.pin(pick(), static_cast<std::int32_t>(rng.uniform_int(0, 3)));
+    for (auto i = rng.uniform_int(2, 6); i > 0; --i) {
+      std::vector<std::size_t> members;
+      for (auto m = rng.uniform_int(2, 6); m > 0; --m) {
+        const std::size_t vm = pick();
+        if (std::find(members.begin(), members.end(), vm) == members.end())
+          members.push_back(vm);
+      }
+      const auto cap = static_cast<std::size_t>(rng.uniform_int(1, 2));
+      cs.add_domain_spread(members, racks, cap);
+      spread_only.add_domain_spread(std::move(members), racks, cap);
+    }
+
+    if (const auto semi = plan_semi_static(vms, settings, cs)) {
+      EXPECT_TRUE(cs.satisfied_by(semi->placement)) << "trial " << trial;
+    }
+    if (const auto stochastic = plan_stochastic(vms, settings, cs)) {
+      EXPECT_TRUE(cs.satisfied_by(stochastic->placement)) << "trial " << trial;
+    }
+    if (const auto dynamic = plan_dynamic(vms, settings, cs)) {
+      ++dynamic_plans;
+      for (std::size_t k = 0; k < dynamic->per_interval.size(); ++k)
+        EXPECT_TRUE(cs.satisfied_by(dynamic->per_interval[k]))
+            << "dynamic, trial " << trial << ", interval " << k;
+    }
+    if (const auto hybrid = plan_hybrid(vms, settings, 0.25, spread_only)) {
+      ++hybrid_plans;
+      for (std::size_t k = 0; k < hybrid->per_interval.size(); ++k)
+        EXPECT_TRUE(spread_only.satisfied_by(hybrid->per_interval[k]))
+            << "hybrid, trial " << trial << ", interval " << k;
+    }
+  }
+  // The property is not vacuous: most draws yield a dynamic plan. Hybrid
+  // plans are rarer because its stochastic side gives up when the one
+  // fresh host it opens for a group sits in a rack already at the cap.
+  EXPECT_GE(dynamic_plans, 12u);
+  EXPECT_GE(hybrid_plans, 2u);
 }
 
 }  // namespace
