@@ -13,8 +13,10 @@
 
 #include "chaos/fault_plan.h"
 #include "chaos/replay.h"
+#include "core/dynamic.h"
 #include "core/emulator.h"
 #include "core/migration_scheduler.h"
+#include "hardware/catalog.h"
 #include "sweep/sweep.h"
 #include "runtime/thread_pool.h"
 #include "test_helpers.h"
@@ -551,6 +553,59 @@ TEST(ChaosReplay, FailedEvacuationCountsDowntime) {
   EXPECT_EQ(rob.sla_violation_intervals[0].first, crash_hour);
   EXPECT_EQ(rob.sla_violation_intervals[0].second, crash_hour + 4);
   EXPECT_LT(rob.availability(), 1.0);
+}
+
+// Every report field under generated faults plus crashes that land in the
+// middle of intervals, one at a time (drains succeed) and all but one host
+// together (drains find no room), on a uniform and on a mixed pool.
+TEST(ChaosReplay, FaultedReportsArePinned) {
+  const auto settings = small_settings();
+  const auto vms = testing::small_fleet(300, 5);
+  const auto dynamic = plan_dynamic(vms, settings);
+  ASSERT_TRUE(dynamic.has_value());
+  std::size_t hosts = 0;
+  for (const auto& p : dynamic->per_interval)
+    hosts = std::max(hosts, p.host_index_bound());
+  auto plan = FaultPlan::generate(FaultSpec::at_intensity(1.0), hosts,
+                                  settings, 3);
+  for (std::size_t h = 0; h < hosts; h += 2)
+    plan.add_outage(h, settings.eval_begin() + 3 + 5 * h,
+                    settings.eval_begin() + 6 + 5 * h);
+  // Every host but one at once: most drains find no room.
+  for (std::size_t h = 1; h < hosts; ++h)
+    plan.add_outage(h, settings.eval_begin() + 37, settings.eval_begin() + 40);
+
+  std::uint64_t h = testing::kFnvBasis;
+  const auto count = [&h](std::size_t n) { h = testing::fnv1a(h, n, 8); };
+  std::size_t evacuations = 0, failed = 0, down = 0;
+  for (const HostPool& pool :
+       {HostPool::uniform(settings.target),
+        HostPool({{hs22_blade(), 4},
+                  {settings.target, HostClass::kUnlimited}})}) {
+    const auto rob = replay_under_faults(vms, dynamic->per_interval, settings,
+                                         true, plan, ChaosOptions{}, pool);
+    count(testing::emulation_hash(rob.emulation));
+    for (const std::size_t n :
+         {rob.host_crashes, rob.stale_intervals, rob.migration_attempts,
+          rob.failed_migration_attempts, rob.migration_retries,
+          rob.migrations_completed, rob.migrations_deferred, rob.evacuations,
+          rob.failed_evacuations, rob.vm_downtime_hours,
+          rob.max_vms_down_simultaneously})
+      count(n);
+    count(std::bit_cast<std::uint64_t>(rob.capacity_lost_host_hours));
+    for (const std::size_t n : rob.vm_down_hours) count(n);
+    for (const auto& [from, to] : rob.sla_violation_intervals) {
+      count(from);
+      count(to);
+    }
+    evacuations += rob.evacuations;
+    failed += rob.failed_evacuations;
+    down += rob.vm_downtime_hours;
+  }
+  EXPECT_GT(evacuations, 0u);
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(down, 0u);
+  EXPECT_EQ(h, 11918446665069871770ULL);
 }
 
 // Dynamic-style schedule: vm 0 moves from host 0 to host 1 at interval 5.

@@ -6,15 +6,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "core/dynamic.h"
+#include "core/host_pool.h"
+#include "core/planners.h"
+#include "hardware/catalog.h"
 #include "hardware/power_model.h"
 #include "test_helpers.h"
+#include "trace/presets.h"
 #include "util/stats.h"
 
 namespace vmcw {
 namespace {
 
 using testing::constant_vm;
+using testing::emulation_hash;
+using testing::fnv1a;
+using testing::kFnvBasis;
+using testing::preset_fleet;
 using testing::small_fleet;
 using testing::small_settings;
 
@@ -200,6 +210,104 @@ TEST(Emulator, ReplayAccuracyOnePerHost) {
     EXPECT_NEAR(report.host_avg_cpu_util[i],
                 mean(eval) / settings.target.cpu_rpe2, 1e-9);
   }
+}
+
+// Every field of every report, bit for bit: the four presets under the
+// study's three schedules, and one ragged case whose traces end inside the
+// window, whose placements leave VMs unplaced and disagree with the fleet
+// size, on a mixed pool, at interval lengths that do not divide eight hours
+// or the window.
+TEST(Emulator, PresetReportsArePinned) {
+  const StudySettings settings;
+  const struct {
+    WorkloadSpec spec;
+    std::uint64_t semi_static, stochastic, dynamic;
+  } presets[] = {
+      {banking_spec(),
+       5587037717780954303ULL,
+       2308740333915491211ULL,
+       10899019242541900461ULL},
+      {airlines_spec(),
+       15494075533425314968ULL,
+       4593331174120614469ULL,
+       2073952862079011666ULL},
+      {natural_resources_spec(),
+       5086802596157963655ULL,
+       5407375257219751289ULL,
+       1371071568929519491ULL},
+      {beverage_spec(),
+       2665127322770833605ULL,
+       10251097199898242291ULL,
+       193376675780164362ULL},
+  };
+  for (const auto& preset : presets) {
+    const auto vms = preset_fleet(preset.spec);
+    const auto semi = plan_semi_static(vms, settings);
+    const auto stochastic = plan_stochastic(vms, settings);
+    const auto dynamic = plan_dynamic(vms, settings);
+    ASSERT_TRUE(semi && stochastic && dynamic) << preset.spec.name;
+    const std::vector<Placement> semi_schedule{semi->placement};
+    const std::vector<Placement> stochastic_schedule{stochastic->placement};
+    EXPECT_EQ(emulation_hash(emulate(vms, semi_schedule, settings, false)),
+              preset.semi_static)
+        << preset.spec.name << " semi-static";
+    EXPECT_EQ(
+        emulation_hash(emulate(vms, stochastic_schedule, settings, false)),
+        preset.stochastic)
+        << preset.spec.name << " stochastic";
+    EXPECT_EQ(
+        emulation_hash(emulate(vms, dynamic->per_interval, settings, true)),
+        preset.dynamic)
+        << preset.spec.name << " dynamic";
+  }
+
+  auto vms = small_fleet(40, 7);  // 168 hours
+  for (std::size_t i = 0; i < vms.size(); i += 4) {
+    const auto cut = [](const TimeSeries& series, std::size_t len) {
+      const auto s = series.samples();
+      return TimeSeries(std::vector<double>(s.begin(), s.begin() + len));
+    };
+    vms[i].cpu_rpe2 = cut(vms[i].cpu_rpe2, 125 + i);
+    vms[i].mem_mb = cut(vms[i].mem_mb, 150 - i / 2);
+  }
+  vms[1].mem_mb = TimeSeries();
+  const HostPool pool(
+      {{hs22_blade(), 3}, {hs23_elite_blade(), HostClass::kUnlimited}});
+  // Overloads a small host on its own, in CPU and memory.
+  vms.push_back(constant_vm("hot", 1.05 * pool.spec_of(0).cpu_rpe2,
+                            1.05 * pool.spec_of(0).memory_mb, 160));
+
+  std::uint64_t ragged = kFnvBasis;
+  std::size_t cpu_samples = 0, mem_samples = 0;
+  for (const std::size_t interval_hours : {1, 2, 3, 5}) {
+    StudySettings s = testing::small_settings();
+    s.eval_hours = 45;
+    s.interval_hours = interval_hours;
+    const std::size_t sizes[] = {vms.size() - 3, vms.size(), vms.size() + 2};
+    std::vector<Placement> schedule;
+    for (std::size_t k = 0; k + 2 < s.intervals(); ++k) {
+      Placement p(sizes[k % 3]);
+      for (std::size_t vm = 0; vm < p.vm_count(); ++vm) {
+        if ((vm + k) % 6 == 0) continue;
+        p.assign(vm, vm < vms.size()
+                         ? static_cast<std::int32_t>((vm * 5 + k) % 7)
+                         : static_cast<std::int32_t>(7 + k % 2));
+      }
+      schedule.push_back(std::move(p));
+    }
+    const std::vector<Placement> fixed{schedule.front()};
+    for (const auto& report :
+         {emulate(vms, schedule, s, true, pool),
+          emulate(vms, schedule, s, false, pool),
+          emulate(vms, fixed, s, false, pool)}) {
+      ragged = fnv1a(ragged, emulation_hash(report), 8);
+      cpu_samples += report.cpu_contention_samples.size();
+      mem_samples += report.mem_contention_samples.size();
+    }
+  }
+  EXPECT_GT(cpu_samples, 0u);
+  EXPECT_GT(mem_samples, 0u);
+  EXPECT_EQ(ragged, 940271422826092233ULL);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // Shared fixtures for planner/emulator tests: small deterministic fleets.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/emulator.h"
 #include "core/placement.h"
 #include "core/settings.h"
 #include "core/vm.h"
@@ -57,6 +59,33 @@ inline std::uint64_t schedule_hash(const std::vector<Placement>& per_interval) {
   for (const auto& p : per_interval)
     for (std::size_t vm = 0; vm < p.vm_count(); ++vm)
       h = fnv1a(h, static_cast<std::uint32_t>(p.host_of(vm)), 4);
+  return h;
+}
+
+/// FNV-1a of every EmulationReport field, doubles taken as their bits and
+/// vectors prefixed by their length.
+inline std::uint64_t emulation_hash(const EmulationReport& r) {
+  std::uint64_t h = kFnvBasis;
+  const auto count = [&h](std::size_t n) { h = fnv1a(h, n, 8); };
+  const auto bits = [&h](double x) {
+    h = fnv1a(h, std::bit_cast<std::uint64_t>(x), 8);
+  };
+  count(r.eval_hours);
+  count(r.intervals);
+  count(r.provisioned_hosts);
+  count(r.active_hosts_per_interval.size());
+  for (const std::size_t n : r.active_hosts_per_interval) count(n);
+  for (const auto* series :
+       {&r.host_avg_cpu_util, &r.host_peak_cpu_util, &r.cpu_contention_samples,
+        &r.mem_contention_samples}) {
+    count(series->size());
+    for (const double x : *series) bits(x);
+  }
+  count(r.hours_with_contention);
+  count(r.vm_contention_hours.size());
+  for (const std::size_t n : r.vm_contention_hours) count(n);
+  count(r.total_vm_contention_hours);
+  bits(r.energy_wh);
   return h;
 }
 
