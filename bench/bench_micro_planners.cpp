@@ -97,7 +97,31 @@ void BM_Emulate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Emulate)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Emulate)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(816)
+    ->Arg(1390)
+    ->Unit(benchmark::kMillisecond);
+
+// The static twin: one placement for the whole window, idle hosts powered.
+void BM_EmulateStatic(benchmark::State& state) {
+  const auto& vms = fleet(static_cast<int>(state.range(0)));
+  const auto settings = bench_settings();
+  const auto plan = plan_semi_static(vms, settings);
+  const std::vector<Placement> schedule{plan->placement};
+  for (auto _ : state) {
+    auto report = emulate(vms, schedule, settings, false);
+    benchmark::DoNotOptimize(report.energy_wh);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_EmulateStatic)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(816)
+    ->Arg(1390)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_HybridPlan(benchmark::State& state) {
   const auto& vms = fleet(static_cast<int>(state.range(0)));

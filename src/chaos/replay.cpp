@@ -158,6 +158,10 @@ RobustnessReport replay_under_faults(std::span<const VmWorkload> vms,
 
     acc.begin_interval(actual, dirty);
     dirty = false;
+    // One interval at a time: the next placement is known only once its
+    // migrations have run. A crash drain re-stages the rest of it.
+    const Placement* const in_force[] = {&actual};
+    acc.stage(hour0, in_force);
 
     for (std::size_t dt = 0; dt < settings.interval_hours; ++dt) {
       const std::size_t hour = hour0 + dt;
@@ -225,7 +229,7 @@ RobustnessReport replay_under_faults(std::span<const VmWorkload> vms,
                          drain->schedule.makespan_s / 3600.0);
           }
           actual = std::move(drain->after);
-          acc.update_placement(actual);
+          acc.update_placement(actual, hour);
         } else {
           ++rob.failed_evacuations;
           if (inc != kNoIncident) {
