@@ -122,15 +122,19 @@ std::optional<PackResult> pcp_pack(std::span<const StochasticItem> items,
     index.set_load(host, hosts[host].provisioned());
   };
 
-  auto fits_on = [&](std::size_t g, std::size_t host) {
+  auto fits_capacity = [&](std::size_t g, std::size_t host) {
     HostEnvelope trial = hosts[host];
     for (std::size_t vm : groups[g]) {
       if (!trial.provisioned_with(items[vm]).fits_within(capacity))
         return false;
       trial.add(items[vm]);
     }
-    return constraints.allows_group(groups[g], static_cast<std::int32_t>(host),
-                                    placement);
+    return true;
+  };
+  auto fits_on = [&](std::size_t g, std::size_t host) {
+    return fits_capacity(g, host) &&
+           constraints.allows_group(groups[g],
+                                    static_cast<std::int32_t>(host), placement);
   };
   auto place_on = [&](std::size_t g, std::size_t host) {
     for (std::size_t vm : groups[g]) {
@@ -171,11 +175,19 @@ std::optional<PackResult> pcp_pack(std::span<const StochasticItem> items,
       }
       from = host + 1;
     }
-    if (!placed) {
+    // No open host takes the group: probe fresh hosts, as admit_group
+    // does, past any the constraints refuse (a spread rule's capped rack).
+    // An empty host that lacks the capacity means every later one does.
+    while (!placed) {
       open_host();
-      if (!fits_on(g, hosts.size() - 1)) return std::nullopt;
-      place_on(g, hosts.size() - 1);
-      refresh_host(hosts.size() - 1);
+      const std::size_t host = hosts.size() - 1;
+      if (fits_on(g, host)) {
+        place_on(g, host);
+        refresh_host(host);
+        placed = true;
+      } else if (!fits_capacity(g, host)) {
+        return std::nullopt;
+      }
     }
   }
 
