@@ -284,6 +284,111 @@ TEST(IndexedAdmission, RepairAndDrainMatchesLinearScan) {
             placement_fingerprint(linear_placement, linear_load));
 }
 
+/// FNV-1a over every RepairOutcome field and the final host of every VM.
+std::uint64_t repair_outcome_hash(const RepairOutcome& out,
+                                  const Placement& placement) {
+  using testing::fnv1a;
+  std::uint64_t h = testing::kFnvBasis;
+  for (const auto* moves : {&out.repair_moves, &out.drain_moves}) {
+    h = fnv1a(h, moves->size(), 8);
+    for (const PlacementMove& m : *moves) {
+      h = fnv1a(h, m.vm, 8);
+      h = fnv1a(h, static_cast<std::uint32_t>(m.from), 4);
+      h = fnv1a(h, static_cast<std::uint32_t>(m.to), 4);
+    }
+  }
+  for (const auto* hosts : {&out.unresolved_hosts, &out.drained_hosts}) {
+    h = fnv1a(h, hosts->size(), 8);
+    for (const std::size_t host : *hosts) h = fnv1a(h, host, 8);
+  }
+  for (std::size_t vm = 0; vm < placement.vm_count(); ++vm)
+    h = fnv1a(h, static_cast<std::uint32_t>(placement.host_of(vm)), 4);
+  return h;
+}
+
+// The controller sends no affinity or pins, so this pins which VMs
+// repair_and_drain treats as movable under them: affinity pairs (one with a
+// partner past the placement), pinned singletons, a constraint set shorter
+// than the placement (its uncovered VMs are singletons) and a spread rule
+// that binds the re-admissions.
+TEST(IndexedAdmission, RepairAndDrainGoldenUnderConstraints) {
+  const StudySettings settings;
+  const HostPool pool = HostPool::uniform(settings.target);
+  const double bound = settings.dynamic_utilization_bound;
+  const std::size_t n = 150;
+  const std::size_t hosts = 30;
+  struct Case {
+    std::uint64_t seed;
+    bool short_set;
+    std::uint64_t golden;
+  };
+  const Case cases[] = {{11, false, 0x2105715dd1bbd3e2ULL},
+                        {11, true, 0x5d95fac5f95a26d6ULL},
+                        {14, false, 0xc7d84b015367df98ULL},
+                        {15, false, 0xb9f0347f44756b76ULL},
+                        {15, true, 0x69a2d08a31c20e6bULL}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "seed " << c.seed << " short_set "
+                                    << c.short_set);
+    Rng rng(c.seed);
+    std::vector<ResourceVector> sizes(n);
+    for (std::size_t vm = 0; vm < n; ++vm) {
+      const double scale = vm < n - 9 ? 0.3 : 0.04;
+      sizes[vm] = {rng.uniform(10.0, settings.target.cpu_rpe2 * scale),
+                   rng.uniform(100.0, settings.target.memory_mb * scale)};
+    }
+    // VMs below n - 9 overload hosts 0-9; the last nine sit three apiece on
+    // the light hosts 27, 28 and 29.
+    Placement placement(n);
+    std::vector<ResourceVector> load(hosts);
+    for (std::size_t vm = 0; vm < n; ++vm) {
+      const std::size_t host = vm < n - 9 ? vm % 10 : 27 + (vm - (n - 9)) / 3;
+      placement.assign(vm, static_cast<std::int32_t>(host));
+      load[host] = load[host] + sizes[vm];
+    }
+
+    ConstraintSet constraints(c.short_set ? n - 20 : n);
+    for (int pair = 0; pair < 6; ++pair) {  // same-host partners
+      const auto vm = static_cast<std::size_t>(rng.uniform_int(0, 39));
+      constraints.add_affinity(vm, vm + 10 * (1 + pair % 3));
+    }
+    constraints.pin(3, 3);
+    if (!c.short_set) {
+      constraints.add_affinity(n - 9, n + 2);  // movable: partner is past n
+      constraints.pin(n - 6, 28);              // host 28 cannot drain
+      constraints.add_affinity(n - 3, n - 2);  // nor can host 29
+    }
+    DomainLookup domains;
+    for (std::int32_t h = 0; h < 40; ++h) domains.table.push_back(h / 2);
+    domains.tail_base = 40;
+    domains.tail_first_domain = 20;
+    domains.tail_hosts_per_domain = 2;
+    std::vector<std::size_t> replicas;
+    for (std::size_t vm = 40; vm < 50; ++vm) replicas.push_back(vm);
+    constraints.add_domain_spread(std::move(replicas), domains, 1);
+
+    Placement linear_placement = placement;
+    std::vector<ResourceVector> linear_load = load;
+    const auto linear = repair_and_drain(sizes, linear_placement, linear_load,
+                                         pool, bound, 0.2, constraints);
+
+    Placement indexed_placement = placement;
+    std::vector<ResourceVector> indexed_load = load;
+    CapacityIndex index;
+    for (std::size_t h = 0; h < indexed_load.size(); ++h) {
+      index.push_host(pool.capacity_of(h, bound));
+      index.set_load(h, indexed_load[h]);
+    }
+    const auto indexed =
+        repair_and_drain(sizes, indexed_placement, indexed_load, pool, bound,
+                         0.2, constraints, {}, &index);
+
+    EXPECT_FALSE(linear.repair_moves.empty());
+    EXPECT_EQ(repair_outcome_hash(linear, linear_placement), c.golden);
+    EXPECT_EQ(repair_outcome_hash(indexed, indexed_placement), c.golden);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // StreamingEstate: byte-identity with generate_datacenter, bounded cache.
 
