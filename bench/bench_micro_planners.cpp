@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the planning/emulation kernels:
-// trace generation, FFD packing, PCP packing, dynamic planning, replay.
+// trace generation, FFD packing, PCP packing, dynamic planning, replay, and
+// the online controller's per-tick re-plan.
 //
 // These quantify the cost of consolidation planning itself — the tooling
 // the paper's team ran inside engagements — and keep regressions visible.
 
 #include <benchmark/benchmark.h>
 
+#include "core/admission.h"
+#include "core/capacity_index.h"
 #include "core/dynamic.h"
 #include "core/emulator.h"
 #include "core/hybrid.h"
@@ -14,6 +17,7 @@
 #include "core/planners.h"
 #include "trace/generator.h"
 #include "trace/presets.h"
+#include "util/rng.h"
 
 namespace vmcw {
 namespace {
@@ -158,6 +162,59 @@ void BM_MakeStochasticItems(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakeStochasticItems)->Arg(100)->Arg(400);
+
+// One controller tick's re-plan on a controller-shaped fleet: a spread-off
+// ConstraintSet(n), hosts filled to 70% of the 0.8 bound, three overloaded
+// hosts and three nearly empty ones. The few moves cost little; the per-VM
+// passes that decide movability and list each host's residents dominate.
+void BM_RepairAndDrain(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const StudySettings settings;
+  const HostPool pool = HostPool::uniform(settings.target);
+  const double bound = 0.8;
+  const double drain_below = 0.25;
+  const ConstraintSet constraints(n);
+  const ResourceVector capacity = pool.capacity_of(0, bound);
+  Rng rng(kStudySeed);
+  std::vector<ResourceVector> sizes(n);
+  Placement placement(n);
+  std::vector<ResourceVector> load(1);
+  for (std::size_t vm = 0; vm < n; ++vm) {
+    sizes[vm] = capacity * rng.uniform(0.02, 0.08);
+    const std::size_t host = load.size() - 1;
+    const double fill = host >= 1 && host <= 3 ? 1.1 : 0.7;
+    // The last three VMs open one host each: the drain candidates.
+    if (vm + 3 >= n || !(load[host] + sizes[vm]).fits_within(capacity * fill))
+      load.emplace_back();
+    placement.assign(vm, static_cast<std::int32_t>(load.size() - 1));
+    load.back() += sizes[vm];
+  }
+
+  RepairOutcome outcome;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Placement tick_placement = placement;
+    std::vector<ResourceVector> tick_load = load;
+    CapacityIndex index;
+    for (std::size_t h = 0; h < tick_load.size(); ++h) {
+      index.push_host(pool.capacity_of(h, bound));
+      index.set_load(h, tick_load[h]);
+    }
+    state.ResumeTiming();
+    outcome = repair_and_drain(sizes, tick_placement, tick_load, pool, bound,
+                               drain_below, constraints, {}, &index);
+    benchmark::DoNotOptimize(outcome.drain_moves.size());
+  }
+  state.counters["repair_moves"] =
+      static_cast<double>(outcome.repair_moves.size());
+  state.counters["drained_hosts"] =
+      static_cast<double>(outcome.drained_hosts.size());
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_RepairAndDrain)
+    ->Arg(2000)
+    ->Arg(25000)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace vmcw

@@ -160,15 +160,29 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
     if (index) index->set_load(host, host_load[host]);
   };
 
-  // Movable = alone in its affinity group and not pinned; everything else
-  // stays where the batch planner put it.
+  // Movable = the only member below n of its affinity group, and not
+  // pinned; everything else stays where the batch planner put it. A root
+  // is its group's smallest member, so every VM below n has its root below
+  // n too, and one count per root sizes each group.
+  std::vector<std::uint32_t> members(n, 0);
+  for (std::size_t vm = 0; vm < n; ++vm)
+    ++members[constraints.affinity_root(vm)];
   std::vector<std::uint8_t> movable(n, 0);
-  for (const auto& g : placement_groups(n, constraints))
-    if (g.size() == 1 &&
-        constraints.pinned_host(g.front()) == Placement::kUnplaced)
-      movable[g.front()] = 1;
+  for (std::size_t vm = 0; vm < n; ++vm)
+    movable[vm] = members[constraints.affinity_root(vm)] == 1 &&
+                  constraints.pinned_host(vm) == Placement::kUnplaced;
 
+  // Residents per host in ascending VM order, each list sized up front.
+  std::vector<std::uint32_t> resident_count(scanned_hosts, 0);
+  for (std::size_t vm = 0; vm < n; ++vm) {
+    const std::int32_t h = placement.host_of(vm);
+    if (h != Placement::kUnplaced &&
+        static_cast<std::size_t>(h) < scanned_hosts)
+      ++resident_count[static_cast<std::size_t>(h)];
+  }
   std::vector<std::vector<std::size_t>> vms_by_host(scanned_hosts);
+  for (std::size_t host = 0; host < scanned_hosts; ++host)
+    vms_by_host[host].reserve(resident_count[host]);
   for (std::size_t vm = 0; vm < n; ++vm) {
     const std::int32_t h = placement.host_of(vm);
     if (h != Placement::kUnplaced &&

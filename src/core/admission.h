@@ -123,15 +123,22 @@ struct RepairOutcome {
 ///    emptied entirely onto other non-empty hosts when every resident VM
 ///    relocates; otherwise the host is left untouched (trial + rollback).
 ///
-/// Only movable VMs participate: not pinned, and alone in their affinity
-/// group (moving one member of a group would tear it; groups stay where
-/// the batch planner put them). Hosts with a nonzero `frozen_hosts` entry
-/// are skipped as sources and never receive VMs — the daemon freezes hosts
-/// whose telemetry went stale. `sizes[vm]` is each VM's current demand
-/// estimate; `placement` and `host_load` must agree and are updated in
-/// place. An optional `index` (in sync with `host_load` on entry, see
-/// AdmissionOptions::index) accelerates every re-admission's target search
-/// and is kept in sync with each eviction/relocation/rollback.
+/// Only movable VMs participate: not pinned, and the only member of their
+/// affinity group below n = placement.vm_count() (moving one member of a
+/// group would tear it; groups stay where the batch planner put them).
+/// That is the group placement_groups(n, constraints) builds: members at
+/// or past n are dropped and VMs past constraints.vm_count() are
+/// singletons. An affinity root is its group's smallest member, so every
+/// VM below n has its root below n, and one pass counting members per
+/// root decides every VM without building a group.
+///
+/// Hosts with a nonzero `frozen_hosts` entry are skipped as sources and
+/// never receive VMs — the daemon freezes hosts whose telemetry went
+/// stale. `sizes[vm]` is each VM's current demand estimate; `placement`
+/// and `host_load` must agree and are updated in place. An optional
+/// `index` (in sync with `host_load` on entry, see AdmissionOptions::index)
+/// accelerates every re-admission's target search and is kept in sync with
+/// each eviction/relocation/rollback.
 RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
                                Placement& placement,
                                std::vector<ResourceVector>& host_load,

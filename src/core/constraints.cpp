@@ -1,7 +1,6 @@
 #include "core/constraints.h"
 
 #include <algorithm>
-#include <map>
 
 namespace vmcw {
 
@@ -25,14 +24,15 @@ void ConstraintSet::ensure_size(std::size_t vm) {
   while (parent_.size() <= vm) parent_.push_back(parent_.size());
 }
 
-std::size_t ConstraintSet::find_root(std::size_t vm) const noexcept {
+std::size_t ConstraintSet::affinity_root(std::size_t vm) const noexcept {
+  if (vm >= parent_.size()) return vm;
   std::size_t root = vm;
   while (parent_[root] != root) root = parent_[root];
   return root;
 }
 
 std::size_t ConstraintSet::compress_to_root(std::size_t vm) {
-  const std::size_t root = find_root(vm);
+  const std::size_t root = affinity_root(vm);
   while (parent_[vm] != root) {
     const std::size_t next = parent_[vm];
     parent_[vm] = root;
@@ -89,12 +89,20 @@ std::size_t preplaced_in(const SpreadRule& rule, std::int32_t domain) noexcept {
 }  // namespace
 
 std::vector<std::vector<std::size_t>> ConstraintSet::affinity_groups() const {
-  std::map<std::size_t, std::vector<std::size_t>> by_root;
-  for (std::size_t vm = 0; vm < parent_.size(); ++vm)
-    by_root[find_root(vm)].push_back(vm);
+  // A root is its group's smallest member, so walking VMs in order opens
+  // every group at its root before any other member appends to it: groups
+  // come out ordered by smallest member, members ascending.
   std::vector<std::vector<std::size_t>> groups;
-  groups.reserve(by_root.size());
-  for (auto& [root, members] : by_root) groups.push_back(std::move(members));
+  std::vector<std::size_t> group_of(parent_.size());
+  for (std::size_t vm = 0; vm < parent_.size(); ++vm) {
+    const std::size_t root = affinity_root(vm);
+    if (root == vm) {
+      group_of[vm] = groups.size();
+      groups.push_back({vm});
+    } else {
+      groups[group_of[root]].push_back(vm);
+    }
+  }
   return groups;
 }
 
@@ -179,7 +187,7 @@ bool ConstraintSet::allows_group(const std::vector<std::size_t>& group,
 bool ConstraintSet::satisfied_by(const Placement& placement) const noexcept {
   for (std::size_t vm = 0; vm < parent_.size(); ++vm) {
     if (vm >= placement.vm_count() || !placement.is_placed(vm)) return false;
-    const std::size_t root = find_root(vm);
+    const std::size_t root = affinity_root(vm);
     if (root != vm && placement.host_of(vm) != placement.host_of(root))
       return false;
   }
@@ -221,7 +229,8 @@ bool ConstraintSet::structurally_feasible() const {
   // Two members of one affinity group pinned to different hosts.
   for (const auto& [vm_a, host_a] : pins_) {
     for (const auto& [vm_b, host_b] : pins_) {
-      if (find_root(vm_a) == find_root(vm_b) && host_a != host_b) return false;
+      if (affinity_root(vm_a) == affinity_root(vm_b) && host_a != host_b)
+        return false;
     }
     // A pin to a host the same VM is forbidden from.
     for (const auto& [fvm, fhost] : forbidden_)
@@ -229,7 +238,7 @@ bool ConstraintSet::structurally_feasible() const {
   }
   // Anti-affinity within one affinity group.
   for (const auto& [a, b] : anti_affinity_)
-    if (find_root(a) == find_root(b)) return false;
+    if (affinity_root(a) == affinity_root(b)) return false;
   // A zero-cap spread rule forbids its members everywhere a domain is
   // known; an affinity group larger than a rule's cap can never co-locate.
   for (const SpreadRule& rule : spread_) {
@@ -237,7 +246,7 @@ bool ConstraintSet::structurally_feasible() const {
     for (const std::size_t vm : rule.vms) {
       std::size_t same_affinity = 0;
       for (const std::size_t other : rule.vms)
-        same_affinity += find_root(other) == find_root(vm) ? 1 : 0;
+        same_affinity += affinity_root(other) == affinity_root(vm) ? 1 : 0;
       if (same_affinity > rule.cap) return false;
     }
     // Pins forcing more members into one domain than the cap allows.

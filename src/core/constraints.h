@@ -89,6 +89,12 @@ class ConstraintSet {
   /// (singletons included), ordered by smallest member.
   std::vector<std::vector<std::size_t>> affinity_groups() const;
 
+  /// Smallest member of `vm`'s affinity group (`vm` itself at or past
+  /// vm_count()). add_affinity links the larger root under the smaller, so
+  /// this is the union-find root. Read-only, so a single ConstraintSet can
+  /// be shared by concurrent planner tasks.
+  std::size_t affinity_root(std::size_t vm) const noexcept;
+
   /// Host this VM is pinned to, or Placement::kUnplaced.
   std::int32_t pinned_host(std::size_t vm) const noexcept;
 
@@ -109,9 +115,6 @@ class ConstraintSet {
   bool structurally_feasible() const;
 
  private:
-  /// Root lookup without mutation — logically and physically const, so a
-  /// single ConstraintSet can be shared by concurrent planner tasks.
-  std::size_t find_root(std::size_t vm) const noexcept;
   /// Root lookup with path compression; only mutators call this, keeping
   /// chains short without ever writing under const.
   std::size_t compress_to_root(std::size_t vm);
