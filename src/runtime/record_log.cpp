@@ -221,13 +221,13 @@ bool RecordLog::create(const std::string& path, const RecordHeader& header) {
   return true;
 }
 
-bool RecordLog::append(const std::vector<std::uint8_t>& record, bool sync) {
+bool RecordLog::append(std::span<const std::uint8_t> records, bool sync) {
   MutexLock lk(mutex_);
   if (fd_ < 0) return false;
   std::size_t off = 0;
-  while (off < record.size()) {
-    const long n = hooks_->write_some(fd_, record.data() + off,
-                                      record.size() - off);
+  while (off < records.size()) {
+    const long n = hooks_->write_some(fd_, records.data() + off,
+                                      records.size() - off);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       // A failed append (disk full, injected write error) must not corrupt

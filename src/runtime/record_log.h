@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -163,7 +164,8 @@ RecordScan scan_records(const std::vector<std::uint8_t>& bytes,
 bool read_file(const std::string& path, std::vector<std::uint8_t>& out);
 
 /// Append-side handle on one log file. Thread-safe: appends from several
-/// threads serialize, each record landing with a single write.
+/// threads serialize, and each append, one record or a run, lands with one
+/// write per segment.
 class RecordLog {
  public:
   /// What open() found.
@@ -230,11 +232,12 @@ class RecordLog {
   bool create(const std::string& path, const RecordHeader& header)
       VMCW_EXCLUDES(mutex_);
 
-  /// Append one framed record (encode_record) with a single write; with
-  /// `sync`, fdatasync it before returning. Short writes and EINTR are
-  /// retried. Returns false when the log is closed or the write or sync
-  /// failed, which closes it.
-  bool append(const std::vector<std::uint8_t>& record, bool sync)
+  /// Append framed records (encode_record), one or a run of them back to
+  /// back, with a single write; with `sync`, fdatasync them before
+  /// returning. Short writes and EINTR are retried. Returns false when the
+  /// log is closed or the write or sync failed, which closes it: the file
+  /// then ends in an intact prefix plus at most one torn record.
+  bool append(std::span<const std::uint8_t> records, bool sync)
       VMCW_EXCLUDES(mutex_);
 
   /// fdatasync everything appended so far; false when the log is closed or

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vmcw::wire {
@@ -34,6 +35,11 @@ inline std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
 /// patterns so a journaled value replays bit-identically.
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  /// Continue at the end of `buf`; take() hands the grown buffer back, so
+  /// several encodings can share one allocation.
+  explicit ByteWriter(std::vector<std::uint8_t> buf) : buf_(std::move(buf)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) buf_.push_back((v >> (8 * i)) & 0xff);
@@ -61,6 +67,7 @@ class ByteWriter {
   }
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return buf_; }
+  std::vector<std::uint8_t> take() && { return std::move(buf_); }
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -141,6 +148,10 @@ inline std::uint64_t load_u64(const std::uint8_t* p) {
   for (int i = 0; i < 8; ++i)
     v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   return v;
+}
+
+inline void store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 inline std::uint32_t load_u32(const std::uint8_t* p) {

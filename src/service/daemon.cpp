@@ -124,15 +124,16 @@ Daemon::OpenResult Daemon::open() {
 }
 
 DecisionBatchFrame Daemon::ingest(const Frame& frame) {
-  if (!append_many({&frame, 1}))
+  single_.clear();
+  single_.add(frame);
+  if (!append_many(single_))
     throw std::runtime_error("Daemon: WAL append failed; frame not applied");
   return apply_frame(frame);
 }
 
-bool Daemon::append_many(std::span<const Frame> frames) {
-  for (const Frame& frame : frames)
-    if (!wal_.append(frame, /*sync=*/false)) return false;
-  return !options_.durable || frames.empty() || wal_.sync();
+bool Daemon::append_many(const EncodedRun& run) {
+  if (run.empty()) return true;
+  return wal_.append(run) && (!options_.durable || wal_.sync());
 }
 
 DecisionBatchFrame Daemon::apply_frame(const Frame& frame) {

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -116,15 +115,16 @@ class Daemon {
   /// append fails, and when a decision batch cannot be appended.
   DecisionBatchFrame ingest(const Frame& frame);
 
-  /// Batched WAL-first ingestion, step 1: append every frame, then issue
-  /// one fdatasync for the whole batch — the writer thread's amortization
-  /// (one sync per queue drain instead of one per frame). Returns whether
-  /// the whole run is durable (written, and synced when Options::durable).
-  /// Callers apply the frames afterwards via apply_frame(), acking only
-  /// once this returned true (the cumulative Ack needs the durability, not
-  /// the apply); after false the WAL is closed and no frame of the run may
-  /// be applied or acked.
-  bool append_many(std::span<const Frame> frames);
+  /// WAL-first ingestion, step 1, and the WAL's only append entry point:
+  /// write the encoded run (one write per segment slice), then issue one
+  /// fdatasync for the whole of it — the writer thread's amortization (one
+  /// sync per queue drain instead of one per frame). Returns whether the
+  /// whole run is durable (written, and synced when Options::durable).
+  /// Callers apply the run's frames afterwards via apply_frame(), in run
+  /// order, acking only once this returned true (the cumulative Ack needs
+  /// the durability, not the apply); after false the WAL is closed and no
+  /// frame of the run may be applied or acked.
+  bool append_many(const EncodedRun& run);
 
   /// Batched ingestion, step 2: feed one already-durable frame to the
   /// controller (the apply half of ingest(), throws alike).
@@ -189,6 +189,7 @@ class Daemon {
   std::uint64_t fleet_hash_ = 0;
   IncrementalController controller_;
   SegmentedFrameLog wal_;
+  EncodedRun single_;   ///< ingest()'s reused one-frame run
   FrameLog decisions_;  ///< never segmented: replay identity needs it whole
   WalIoHooks* hooks_ = &default_wal_io_hooks();
   std::size_t batches_skipped_ = 0;  ///< recovered batches left to skip

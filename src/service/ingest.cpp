@@ -9,6 +9,8 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -193,13 +195,10 @@ void IngestServer::respond(std::uint64_t conn, const Frame& frame,
     MutexLock lk(response_mutex_);
     responses_.push_back(std::move(r));
   }
-  if (std::holds_alternative<RejectFrame>(frame)) {
-    MutexLock lk(stats_mutex_);
-    ++stats_.rejects_sent;
-  }
+  if (std::holds_alternative<RejectFrame>(frame)) ++batch_stats_.rejects_sent;
 }
 
-void IngestServer::update_shed_state() {
+bool IngestServer::update_shed_state() {
   const double latency = daemon_.last_fsync_seconds();
   MutexLock lk(stats_mutex_);
   if (!shedding_ && latency >= options_.shed_fsync_seconds) {
@@ -208,22 +207,39 @@ void IngestServer::update_shed_state() {
   } else if (shedding_ && latency <= options_.recover_fsync_seconds) {
     shedding_ = false;
   }
+  return shedding_;
 }
 
-// One writer drain, three phases (the frame-batching satellite of the
-// bounded-recovery PR):
+void IngestServer::publish_stats() {
+  MutexLock lk(stats_mutex_);
+  stats_.messages_ingested += batch_stats_.messages_ingested;
+  stats_.duplicates_dropped += batch_stats_.duplicates_dropped;
+  stats_.rejects_sent += batch_stats_.rejects_sent;
+  stats_.out_of_order_rejects += batch_stats_.out_of_order_rejects;
+  stats_.shed_rejects += batch_stats_.shed_rejects;
+  stats_.wal_batches += batch_stats_.wal_batches;
+  stats_.shutdowns_seen = shutdowns_seen_;
+  batch_stats_ = IngestStats{};
+}
+
+// One writer drain, three phases. Every cost that a frame needs only once
+// per drain is paid once per drain: one encoding per accepted frame, one
+// WAL write per segment slice, one fdatasync, one lock to hand back the
+// Acks and one to publish the counters.
 //
 //  1. classify every item in queue order against *tentative* per-peer ack
 //     marks — handshakes, duplicates, out-of-order and shed rejections are
 //     answered immediately (none of those responses asserts new
-//     durability); frames that will land in the WAL are collected;
-//  2. append the whole accepted run with ONE fdatasync (Daemon::append_many)
-//     — the cumulative Ack means per-frame syncs bought nothing;
-//  3. only now advance the real marks, apply each frame to the controller
-//     in the same order, and emit the deferred Acks. An Ack{s} still
-//     implies everything <= s from that peer is durable. When the run is
-//     not durable, phase 3 never runs: the batch throws and the writer
-//     stops (writer_loop).
+//     durability); each frame that will land in the WAL is encoded once,
+//     at the back of the batch's run, and those bytes are both its dedup
+//     hash and its WAL record;
+//  2. append the whole run with ONE fdatasync (Daemon::append_many) — the
+//     cumulative Ack means per-frame syncs bought nothing;
+//  3. only now advance the real marks, apply each accepted frame to the
+//     controller in the same order, and hand all the deferred Acks to the
+//     poll thread at once. An Ack{s} still implies everything <= s from
+//     that peer is durable. When the run is not durable, phase 3 never
+//     runs: the batch throws and the writer stops (writer_loop).
 //
 // Then the snapshot cadence check and the liveness heartbeat, both at the
 // batch boundary: every durable frame has been applied and is covered by
@@ -232,13 +248,16 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
   struct Accepted {
     std::uint64_t conn = 0;
     std::uint64_t seq = 0;
-    std::string peer;
-    FrameKind kind = FrameKind::kHeartbeat;
+    std::uint64_t* mark = nullptr;  ///< the peer's entry in last_acked_
     bool append = false;  ///< false: dedup hit, already durable
     Frame frame;
   };
   std::vector<Accepted> accepted;
   accepted.reserve(items.size());
+  run_.clear();
+  // Only this thread changes the shed state, so one read per drain holds
+  // until the drain itself updates it.
+  bool shedding = this->shedding();
   // Durable marks stay put until phase 3; classification tracks where each
   // peer's cursor *will* be so a Hello or seq check mid-batch sees the
   // items ahead of it in the same drain.
@@ -306,22 +325,17 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
       continue;
     }
 
-    if (item.seq <= tentative_mark(session.peer)) {
+    std::uint64_t& tentative_seq = tentative_mark(session.peer);
+    if (item.seq <= tentative_seq) {
       // Retransmission of something already durable (or accepted earlier
       // in this very batch): cumulative re-Ack of the durable mark.
-      {
-        MutexLock lk(stats_mutex_);
-        ++stats_.duplicates_dropped;
-      }
+      ++batch_stats_.duplicates_dropped;
       respond(item.conn, AckFrame{last_acked_[session.peer]}, /*close=*/false);
       continue;
     }
 
     if (item.seq != session.expected) {
-      {
-        MutexLock lk(stats_mutex_);
-        ++stats_.out_of_order_rejects;
-      }
+      ++batch_stats_.out_of_order_rejects;
       respond(item.conn,
               RejectFrame{item.seq, RejectCode::kOutOfOrder,
                           "resend from the last ack"},
@@ -329,26 +343,17 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
       continue;
     }
 
-    if (is_data_kind(kind)) {
-      bool shed = false;
-      {
-        MutexLock lk(stats_mutex_);
-        shed = shedding_;
-      }
-      if (shed) {
-        // Nothing is appending while we shed, so nothing would re-measure
-        // the disk: probe it (an fsync with no append) and accept this
-        // frame after all if the stall has cleared.
-        if (!daemon_.probe_wal()) throw_not_durable();
-        update_shed_state();
-        MutexLock lk(stats_mutex_);
-        shed = shedding_;
-        if (shed) ++stats_.shed_rejects;
-      }
-      if (shed) {
+    if (is_data_kind(kind) && shedding) {
+      // Nothing is appending while we shed, so nothing would re-measure
+      // the disk: probe it (an fsync with no append) and accept this frame
+      // after all if the stall has cleared.
+      if (!daemon_.probe_wal()) throw_not_durable();
+      shedding = update_shed_state();
+      if (shedding) {
         // Heartbeat-only mode: the frame is neither appended nor acked, so
         // the collector holds it and retries after backoff — nothing acked
         // is ever shed, nothing shed is ever acked.
+        ++batch_stats_.shed_rejects;
         respond(item.conn,
                 RejectFrame{item.seq, RejectCode::kShedding,
                             "wal stalled: heartbeat-only"},
@@ -358,68 +363,62 @@ void IngestServer::process_batch(std::vector<IngressItem>& items) {
     }
 
     // Accepted. Whether it needs an append (vs. a dedup drop of a frame
-    // durable before the crash) is decided now; the ack waits for the
-    // batch sync either way — an earlier frame of the same peer may be in
-    // the pending run, and Acks are cumulative.
-    Accepted acc;
-    acc.conn = item.conn;
-    acc.seq = item.seq;
-    acc.peer = session.peer;
-    acc.kind = kind;
-    const std::vector<std::uint8_t> encoding = encode_frame(item.frame);
-    const std::uint64_t hash = wire::fnv1a64(encoding.data(), encoding.size());
-    const auto dup = dedup_.find(hash);
-    if (dup != dedup_.end() && dup->second > 0) {
+    // durable before the crash) is decided now, on the record bytes the
+    // append will write; the ack waits for the batch sync either way — an
+    // earlier frame of the same peer may be in the pending run, and Acks
+    // are cumulative.
+    run_.add(item.frame);
+    const std::span<const std::uint8_t> record =
+        run_.records(run_.size() - 1, run_.size());
+    const auto dup = dedup_.find(wire::fnv1a64(record.data(), record.size()));
+    const bool append = dup == dedup_.end() || dup->second == 0;
+    if (!append) {
       if (--dup->second == 0) dedup_.erase(dup);
-      acc.append = false;
-    } else {
-      acc.append = true;
+      run_.pop_back();
     }
-    acc.frame = std::move(item.frame);
-    tentative_mark(acc.peer) = acc.seq;
-    session.expected = acc.seq + 1;
-    accepted.push_back(std::move(acc));
+    accepted.push_back(Accepted{item.conn, item.seq, &last_acked_[session.peer],
+                                append, std::move(item.frame)});
+    tentative_seq = item.seq;
+    session.expected = item.seq + 1;
   }
 
   // Phase 2: one append run, one fdatasync.
-  std::vector<Frame> to_append;
-  to_append.reserve(accepted.size());
-  for (const Accepted& acc : accepted)
-    if (acc.append) to_append.push_back(acc.frame);
-  if (!to_append.empty()) {
-    if (!daemon_.append_many(to_append)) throw_not_durable();
+  if (!run_.empty()) {
+    if (!daemon_.append_many(run_)) throw_not_durable();
     update_shed_state();
-    MutexLock lk(stats_mutex_);
-    ++stats_.wal_batches;
+    ++batch_stats_.wal_batches;
   }
 
   // Phase 3: everything in the run is durable — advance the real marks,
-  // apply in order, ack.
+  // apply in order, ack. Consecutive Acks to one connection share one
+  // response.
+  std::vector<Response> acks;
   for (Accepted& acc : accepted) {
-    last_acked_[acc.peer] = acc.seq;
+    *acc.mark = acc.seq;
     if (acc.append) {
       daemon_.apply_frame(acc.frame);
-      MutexLock lk(stats_mutex_);
-      ++stats_.messages_ingested;
+      ++batch_stats_.messages_ingested;
     } else {
-      MutexLock lk(stats_mutex_);
-      ++stats_.duplicates_dropped;
+      ++batch_stats_.duplicates_dropped;
     }
-    respond(acc.conn, AckFrame{acc.seq}, /*close=*/false);
+    if (acks.empty() || acks.back().conn != acc.conn)
+      acks.push_back(Response{acc.conn, {}, /*close=*/false});
+    encode_frame_into(AckFrame{acc.seq}, acks.back().bytes);
 
     // Only newly-appended Shutdowns count: a dedup drop means the frame
     // was in the recovered suffix, and those are already folded into the
     // recovered_shutdowns seed (the dedup multiset holds nothing else).
-    if (acc.append && acc.kind == FrameKind::kShutdown) {
+    if (acc.append && std::holds_alternative<ShutdownFrame>(acc.frame)) {
       ++shutdowns_seen_;
-      {
-        MutexLock lk(stats_mutex_);
-        stats_.shutdowns_seen = shutdowns_seen_;
-      }
       if (options_.expected_shutdowns > 0 &&
           shutdowns_seen_ >= options_.expected_shutdowns)
         queue_.close();  // drain what is queued, then the loop ends
     }
+  }
+  if (!acks.empty()) {
+    MutexLock lk(response_mutex_);
+    responses_.insert(responses_.end(), std::make_move_iterator(acks.begin()),
+                      std::make_move_iterator(acks.end()));
   }
 
   // Batch boundary: the one point where "durable", "applied" and "covered
@@ -443,9 +442,14 @@ void IngestServer::writer_loop() {
     batch.clear();
     batch.push_back(std::move(*item));
     if (cap > 1) queue_.drain(batch, cap - 1);
+    bool durable = true;
     try {
       process_batch(batch);
     } catch (const std::exception&) {
+      durable = false;
+    }
+    publish_stats();
+    if (!durable) {
       // A WAL append or sync failed, or a decision batch could not be
       // logged: stop here. Nothing of the failed run and nothing queued
       // after it is applied or acked, so every Ack sent still names a
@@ -489,39 +493,50 @@ void IngestServer::poll_loop() {
 
   /// Decode as many complete messages as the buffer holds; stop at a torn
   /// tail (wait for bytes), a quarantine (conn closing), or a full queue
-  /// (backpressure: stash the item and pause reads).
+  /// (backpressure: stash the item and pause reads). Messages are consumed
+  /// by offset and the consumed prefix is erased once, on the way out, so
+  /// a stalled item's bytes are left at the front where retry_stalled
+  /// expects them.
   const auto drain_inbuf = [&](std::uint64_t id, Conn& conn) {
-    while (!conn.want_close && conn.in.size() >= kEnvelopeHeader) {
-      const std::uint64_t length = wire::load_u64(conn.in.data() + 8 + 1);
+    std::size_t at = 0;  // start of the first message not yet queued
+    const auto consume = [&] {
+      conn.in.erase(conn.in.begin(),
+                    conn.in.begin() + static_cast<std::ptrdiff_t>(at));
+    };
+    while (!conn.want_close && conn.in.size() - at >= kEnvelopeHeader) {
+      const std::uint8_t* message = conn.in.data() + at;
+      const std::uint64_t length = wire::load_u64(message + 8 + 1);
       if (length > options_.max_frame_bytes) {
+        consume();
         quarantine(id, conn, RejectCode::kOversizedFrame,
                    "length field over the frame cap");
         return;
       }
       const std::size_t total =
           8 + kFrameHeaderSize + static_cast<std::size_t>(length);
-      if (conn.in.size() < total) return;  // torn: wait for more bytes
+      if (conn.in.size() - at < total) break;  // torn: wait for more bytes
       IngressItem item;
       item.conn = id;
-      item.seq = wire::load_u64(conn.in.data());
+      item.seq = wire::load_u64(message);
       try {
-        item.frame = decode_frame(conn.in.data() + 8, total - 8).frame;
+        item.frame = decode_frame(message + 8, total - 8).frame;
       } catch (const std::exception& e) {
+        consume();
         quarantine(id, conn, RejectCode::kCorruptFrame, e.what());
         return;
       }
       if (!queue_.try_push(item)) {
-        if (queue_.closed()) return;  // shutting down; drop on the floor
+        if (queue_.closed()) break;  // shutting down; drop on the floor
         conn.stalled = std::move(item);
         conn.has_stalled = true;
         conn.paused = true;
         MutexLock lk(stats_mutex_);
         ++stats_.backpressure_stalls;
-        return;
+        break;
       }
-      conn.in.erase(conn.in.begin(),
-                    conn.in.begin() + static_cast<std::ptrdiff_t>(total));
+      at += total;
     }
+    consume();
   };
 
   const auto retry_stalled = [&](std::uint64_t id, Conn& conn) {
@@ -554,20 +569,24 @@ void IngestServer::poll_loop() {
     }
   };
 
+  // Queue every pending response first, then send once per connection.
+  std::vector<Response> pending;
   const auto dispatch_responses = [&] {
-    std::vector<Response> pending;
     {
       MutexLock lk(response_mutex_);
       pending.swap(responses_);
     }
-    for (Response& r : pending) {
+    if (pending.empty()) return;
+    for (const Response& r : pending) {
       const auto it = conns.find(r.conn);
       if (it == conns.end()) continue;  // conn died before the reply
       it->second.out.insert(it->second.out.end(), r.bytes.begin(),
                             r.bytes.end());
       if (r.close) it->second.want_close = true;
-      flush_out(it->second);
     }
+    pending.clear();
+    for (auto& [id, conn] : conns)
+      if (!conn.out.empty()) flush_out(conn);
   };
 
   const auto close_conn = [&](std::uint64_t id, Conn& conn, bool notify) {

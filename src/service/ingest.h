@@ -177,7 +177,7 @@ class IngestServer {
   /// What the writer hands back for the poll loop to transmit.
   struct Response {
     std::uint64_t conn = 0;
-    std::vector<std::uint8_t> bytes;  ///< encoded Ack/Reject frame
+    std::vector<std::uint8_t> bytes;  ///< encoded Ack/Reject frames
     bool close = false;               ///< drop the conn once flushed
   };
 
@@ -207,7 +207,11 @@ class IngestServer {
   void writer_loop();
   void process_batch(std::vector<IngressItem>& items);
   void respond(std::uint64_t conn, const Frame& frame, bool close);
-  void update_shed_state();
+  /// Re-read the WAL's last fsync latency into the shed state; returns
+  /// whether the server sheds now.
+  bool update_shed_state() VMCW_EXCLUDES(stats_mutex_);
+  /// Fold the writer's counters of the batch into stats_, under one lock.
+  void publish_stats() VMCW_EXCLUDES(stats_mutex_);
   void wake_poll() const noexcept;
 
   Daemon& daemon_;
@@ -236,6 +240,8 @@ class IngestServer {
   std::map<std::uint64_t, std::size_t> dedup_;  ///< frame hash -> count
   std::size_t shutdowns_seen_ = 0;
   std::uint64_t batches_processed_ = 0;  ///< health-file progress counter
+  EncodedRun run_;            ///< the batch's accepted frames, encoded once
+  IngestStats batch_stats_;   ///< counters not yet published to stats_
 
   std::thread poll_thread_;
   std::thread writer_thread_;

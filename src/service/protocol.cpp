@@ -1,8 +1,8 @@
 #include "service/protocol.h"
 
 #include <stdexcept>
+#include <utility>
 
-#include "runtime/record_log.h"
 #include "runtime/wire.h"
 
 namespace vmcw::service {
@@ -273,11 +273,26 @@ FrameKind frame_kind(const Frame& frame) noexcept {
       frame);
 }
 
+void encode_frame_into(const Frame& frame, std::vector<std::uint8_t>& out) {
+  // The header goes in first with zero length and checksum words, the
+  // payload is written straight behind it, then both words are filled in.
+  const std::size_t start = out.size();
+  ByteWriter w(std::move(out));
+  w.u8(static_cast<std::uint8_t>(frame_kind(frame)));
+  w.u64(0);
+  w.u64(0);
+  std::visit([&](const auto& f) { encode_payload(f, w); }, frame);
+  out = std::move(w).take();
+  std::uint8_t* header = out.data() + start;
+  const std::size_t length = out.size() - start - kFrameHeaderSize;
+  wire::store_u64(header + 1, length);
+  wire::store_u64(header + 9, fnv1a64(header + kFrameHeaderSize, length));
+}
+
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
-  ByteWriter payload;
-  std::visit([&](const auto& f) { encode_payload(f, payload); }, frame);
-  return encode_record(static_cast<std::uint8_t>(frame_kind(frame)),
-                       payload.bytes());
+  std::vector<std::uint8_t> out;
+  encode_frame_into(frame, out);
+  return out;
 }
 
 DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size) {

@@ -211,6 +211,9 @@ inline constexpr std::size_t kFrameHeaderSize = 1 + 8 + 8;
 /// equal bytes.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 
+/// Append encode_frame(frame)'s bytes to `out`: many frames, one buffer.
+void encode_frame_into(const Frame& frame, std::vector<std::uint8_t>& out);
+
 struct DecodedFrame {
   Frame frame;
   std::size_t consumed = 0;  ///< total bytes, header included

@@ -293,12 +293,26 @@ bool SegmentedFrameLog::rotate() {
                      active_base_);
 }
 
-bool SegmentedFrameLog::append(const Frame& frame, bool sync) {
-  if (segment_frames_ > 0 && active_count_ >= segment_frames_ && !rotate())
-    return false;
-  if (!log_.append(frame, sync)) return false;
-  ++active_count_;
+bool SegmentedFrameLog::append(const EncodedRun& run) {
+  for (std::size_t done = 0; done < run.size();) {
+    std::size_t take = run.size() - done;
+    if (segment_frames_ > 0) {
+      if (active_count_ >= segment_frames_ && !rotate()) return false;
+      take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(take, segment_frames_ - active_count_));
+    }
+    if (!log_.log_.append(run.records(done, done + take), /*sync=*/false))
+      return false;
+    active_count_ += take;
+    done += take;
+  }
   return true;
+}
+
+bool SegmentedFrameLog::append(const Frame& frame, bool sync) {
+  single_.clear();
+  single_.add(frame);
+  return append(single_) && (!sync || log_.sync());
 }
 
 std::size_t SegmentedFrameLog::reclaim_before(std::uint64_t ordinal) {

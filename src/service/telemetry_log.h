@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,36 @@
 #include "service/protocol.h"
 
 namespace vmcw::service {
+
+/// Frames encoded back to back as WAL records (encode_frame bytes), and
+/// where each record ends: what one batched WAL append writes.
+struct EncodedRun {
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::size_t> ends;  ///< ends[i]: offset just past record i
+
+  /// Encode `frame` as the run's last record.
+  void add(const Frame& frame) {
+    encode_frame_into(frame, bytes);
+    ends.push_back(bytes.size());
+  }
+  /// Drop the last record again.
+  void pop_back() {
+    ends.pop_back();
+    bytes.resize(ends.empty() ? 0 : ends.back());
+  }
+  /// The bytes of records [first, last).
+  std::span<const std::uint8_t> records(std::size_t first,
+                                        std::size_t last) const {
+    const std::size_t from = first == 0 ? 0 : ends[first - 1];
+    return {bytes.data() + from, ends[last - 1] - from};
+  }
+  std::size_t size() const noexcept { return ends.size(); }
+  bool empty() const noexcept { return ends.empty(); }
+  void clear() noexcept {
+    bytes.clear();
+    ends.clear();
+  }
+};
 
 /// Append-side handle on a frame WAL (telemetry input or decision output).
 class FrameLog {
@@ -176,8 +207,14 @@ class SegmentedFrameLog {
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint64_t segment_frames, std::uint64_t keep_from = 0);
 
-  /// Append one frame, rotating first when the active segment is full;
-  /// false as FrameLog::append reports it (a failed rotation too).
+  /// Append a run of records, rotating whenever the active segment fills:
+  /// one write per segment slice, split exactly where per-frame appends
+  /// would rotate, so every segment file is byte-identical to theirs. Does
+  /// not sync. False as FrameLog::append reports it (a failed rotation
+  /// too); the log is then closed, and its files end in an intact prefix
+  /// plus at most one torn record.
+  bool append(const EncodedRun& run);
+  /// Append one frame through the run path; with `sync`, fdatasync it.
   bool append(const Frame& frame, bool sync = true);
   bool sync() { return log_.sync(); }
   void close() { log_.close(); }
@@ -211,6 +248,7 @@ class SegmentedFrameLog {
   bool rotate();
 
   FrameLog log_;
+  EncodedRun single_;  ///< append(Frame)'s reused one-record run
   std::string path_;
   std::uint64_t fleet_hash_ = 0;
   std::uint64_t segment_frames_ = 0;  ///< 0 = legacy single-file mode

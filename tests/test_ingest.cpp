@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <cstdint>
@@ -360,6 +361,53 @@ TEST(WalIoHooks, ShortWritesAndEintrStillProduceAnIntactLog) {
   const WalContents contents = read_frame_log(path);
   EXPECT_FALSE(contents.torn_tail);
   EXPECT_EQ(contents.frames, frames);
+}
+
+TEST(WalIoHooks, EncodedRunSplitsAtSegmentsLikePerFrameAppends) {
+  const std::string dir = temp_dir("vmcw_ingest_runsplit");
+  const auto frames = sample_frames();
+  ASSERT_EQ(frames.size(), 10u);
+  // Three records per segment: the run crosses every rotation of a
+  // 3 + 3 + 3 + 1 chain.
+  const auto write_chain = [&](const std::string& path, bool as_run,
+                               WalIoHooks* hooks) {
+    SegmentedFrameLog log;
+    log.set_io_hooks(hooks);
+    log.open(path, fleet_config_hash(ControllerConfig{}), /*resume=*/false,
+             /*segment_frames=*/3);
+    if (as_run) {
+      EncodedRun run;
+      for (const Frame& frame : frames) run.add(frame);
+      EXPECT_TRUE(log.append(run));
+    } else {
+      for (const Frame& frame : frames)
+        EXPECT_TRUE(log.append(frame, /*sync=*/false));
+    }
+    EXPECT_TRUE(log.sync());
+    log.close();
+  };
+  const std::string per_frame = dir + "/frames.wal";
+  const std::string run = dir + "/run.wal";
+  const std::string flaky = dir + "/flaky.wal";
+  write_chain(per_frame, /*as_run=*/false, nullptr);
+  write_chain(run, /*as_run=*/true, nullptr);
+  FlakyWalHooks hooks;
+  write_chain(flaky, /*as_run=*/true, &hooks);
+
+  for (std::size_t i = 1; i <= 4; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(fs::exists(segment_path(per_frame, i)));
+    EXPECT_EQ(file_bytes(segment_path(run, i)),
+              file_bytes(segment_path(per_frame, i)));
+    EXPECT_EQ(file_bytes(segment_path(flaky, i)),
+              file_bytes(segment_path(per_frame, i)));
+  }
+  EXPECT_FALSE(fs::exists(segment_path(run, 5)));
+  for (const std::string& path : {run, flaky}) {
+    const WalContents wal = read_segmented_wal(path);
+    EXPECT_FALSE(wal.torn_tail);
+    EXPECT_EQ(wal.frames, frames);
+  }
 }
 
 TEST(WalIoHooks, HardWriteErrorClosesTheLogInsteadOfTearingIt) {
@@ -731,10 +779,13 @@ class WalFaultHooks : public WalIoHooks {
 };
 
 /// One raw ingest session with no retries: a Hello, then `frames` as seq
-/// 1..n in a single send, then every response until the server closes the
-/// connection. Returns the highest Ack seq received.
-std::uint64_t raw_session(const std::string& socket_path,
-                          const std::vector<Frame>& frames) {
+/// 1..n in a single send — or, with `split_message` set, in two sends that
+/// part inside that message's envelope — then every response until the
+/// server closes the connection. Returns the seqs of every Ack received,
+/// in arrival order (the Hello's Ack first).
+std::vector<std::uint64_t> raw_session(
+    const std::string& socket_path, const std::vector<Frame>& frames,
+    std::optional<std::size_t> split_message = std::nullopt) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
   EXPECT_GE(fd, 0);
   sockaddr_un addr{};
@@ -753,12 +804,22 @@ std::uint64_t raw_session(const std::string& socket_path,
   };
   envelope(0, HelloFrame{kProtocolVersion,
                          fleet_config_hash(ControllerConfig{}), "raw"});
-  for (std::size_t i = 0; i < frames.size(); ++i) envelope(i + 1, frames[i]);
-  for (std::size_t off = 0; off < out.size();) {
-    const ssize_t n =
-        ::send(fd, out.data() + off, out.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) break;  // the server stopped reading; it may be failing
-    off += static_cast<std::size_t>(n);
+  std::size_t split = out.size();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    envelope(i + 1, frames[i]);
+    if (split_message == i) split = out.size() - 5;
+  }
+  const auto send_range = [&](std::size_t off, std::size_t end) {
+    while (off < end) {
+      const ssize_t n = ::send(fd, out.data() + off, end - off, MSG_NOSIGNAL);
+      if (n <= 0) return;  // the server stopped reading; it may be failing
+      off += static_cast<std::size_t>(n);
+    }
+  };
+  send_range(0, split);
+  if (split < out.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    send_range(split, out.size());
   }
 
   std::vector<std::uint8_t> in;
@@ -770,14 +831,14 @@ std::uint64_t raw_session(const std::string& socket_path,
     in.insert(in.end(), buf, buf + n);
   }
   ::close(fd);
-  std::uint64_t acked = 0;
+  std::vector<std::uint64_t> acks;
   for (std::size_t at = 0; at < in.size();) {
     const DecodedFrame d = decode_frame(in.data() + at, in.size() - at);
     if (const auto* ack = std::get_if<AckFrame>(&d.frame))
-      acked = std::max(acked, ack->seq);
+      acks.push_back(ack->seq);
     at += d.consumed;
   }
-  return acked;
+  return acks;
 }
 
 TEST(IngestServer, DurabilityFailureStopsAcksAndRestartEqualsReplay) {
@@ -788,7 +849,7 @@ TEST(IngestServer, DurabilityFailureStopsAcksAndRestartEqualsReplay) {
     WalFaultHooks::Fault fault;
     std::uint64_t nth;
   } cases[] = {
-      {"eio_write", WalFaultHooks::Fault::kWrite, 30},
+      {"eio_write", WalFaultHooks::Fault::kWrite, 4},
       {"failed_sync", WalFaultHooks::Fault::kSync, 4},
   };
   for (const auto& c : cases) {
@@ -808,7 +869,10 @@ TEST(IngestServer, DurabilityFailureStopsAcksAndRestartEqualsReplay) {
       options.max_batch_frames = 8;  // several syncs before the fault
       IngestServer server(daemon, options);
       server.start(opened.wal_frames);
-      const std::uint64_t acked = raw_session(options.unix_path, frames);
+      const std::vector<std::uint64_t> acks =
+          raw_session(options.unix_path, frames);
+      const std::uint64_t acked =
+          acks.empty() ? 0 : *std::max_element(acks.begin(), acks.end());
       server.wait();
       EXPECT_TRUE(server.failed());
       daemon.close();
@@ -838,6 +902,66 @@ TEST(IngestServer, DurabilityFailureStopsAcksAndRestartEqualsReplay) {
     EXPECT_EQ(file_bytes(daemon_options.decisions_path),
               file_bytes(dir + "/replay.decisions"));
   }
+}
+
+TEST(IngestServer, OffsetDrainUnderBackpressureAcksEveryMessageOnce) {
+  const std::string dir = temp_dir("vmcw_ingest_backpressure");
+  ChurnOptions churn;
+  churn.agents = 4;
+  churn.initial_vms = 24;
+  churn.ticks = 160;
+  churn.arrivals_per_tick = 1.5;
+  churn.departure_prob = 0.05;
+  churn.seed = 13;
+  const auto frames =
+      partition_stream(generate_churn(churn, ControllerConfig{}), 1, 4)[0];
+  ASSERT_GE(frames.size(), 1000u);
+
+  // Two queue slots against a burst of every envelope at once: the poll
+  // thread stalls on nearly every message, and one envelope arrives torn
+  // across two sends.
+  Daemon::Options daemon_options;
+  daemon_options.wal_path = dir + "/live.wal";
+  daemon_options.decisions_path = dir + "/live.decisions";
+  daemon_options.durable = false;
+  IngestStats stats;
+  {
+    Daemon daemon(ControllerConfig{}, daemon_options);
+    const auto opened = daemon.open();
+    IngestOptions options;
+    options.unix_path = dir + "/ingest.sock";
+    options.queue_capacity = 2;
+    IngestServer server(daemon, options);
+    server.start(opened.wal_frames);
+    const std::vector<std::uint64_t> acks =
+        raw_session(options.unix_path, frames, frames.size() / 2);
+    server.wait();
+    EXPECT_FALSE(server.failed());
+    daemon.close();
+    stats = server.stats();
+
+    // The Hello's Ack, then exactly one Ack per message, in order.
+    ASSERT_EQ(acks.size(), frames.size() + 1);
+    for (std::size_t i = 0; i < acks.size(); ++i) EXPECT_EQ(acks[i], i);
+  }
+  EXPECT_GT(stats.backpressure_stalls, 0u);
+  EXPECT_EQ(stats.messages_ingested, frames.size());
+  EXPECT_EQ(stats.rejects_sent, 0u);
+  EXPECT_EQ(stats.corrupt_frames, 0u);
+
+  // The WAL and the decision log are a direct Daemon feed's, byte for byte.
+  Daemon::Options direct_options;
+  direct_options.wal_path = dir + "/direct.wal";
+  direct_options.decisions_path = dir + "/direct.decisions";
+  direct_options.durable = false;
+  Daemon direct(ControllerConfig{}, direct_options);
+  direct.open();
+  for (const Frame& frame : frames) direct.ingest(frame);
+  direct.close();
+  EXPECT_EQ(file_bytes(daemon_options.wal_path),
+            file_bytes(direct_options.wal_path));
+  EXPECT_EQ(file_bytes(daemon_options.decisions_path),
+            file_bytes(direct_options.decisions_path));
 }
 
 TEST(IngestServer, CrashResumeDedupesAlreadyDurableFrames) {

@@ -907,23 +907,31 @@ TEST(ChainValidation, DamagedChainResumesMatchTheirPins) {
 
 // --------------------------------------------------- batched WAL writes
 
-/// Hooks that count fdatasync calls (and pass them through).
+/// Hooks that count write and fdatasync calls (and pass them through).
 class CountingSyncHooks : public WalIoHooks {
  public:
+  long write_some(int fd, const std::uint8_t* data,
+                  std::size_t size) override {
+    ++writes_;
+    return WalIoHooks::write_some(fd, data, size);
+  }
   int sync(int fd) override {
     ++syncs_;
     return WalIoHooks::sync(fd);
   }
+  std::uint64_t writes() const noexcept { return writes_; }
   std::uint64_t syncs() const noexcept { return syncs_; }
 
  private:
+  std::uint64_t writes_ = 0;
   std::uint64_t syncs_ = 0;
 };
 
 TEST(Recovery, AppendManyIssuesOneSyncForTheWholeBatch) {
   const std::string dir = temp_dir("vmcw_rec_batchsync");
   const auto frames = small_churn();
-  const std::vector<Frame> batch(frames.begin(), frames.begin() + 10);
+  EncodedRun batch;
+  for (std::size_t i = 0; i < 10; ++i) batch.add(frames[i]);
 
   Daemon::Options o;
   o.wal_path = dir + "/batch.wal";
@@ -933,9 +941,13 @@ TEST(Recovery, AppendManyIssuesOneSyncForTheWholeBatch) {
   daemon.set_io_hooks(&hooks);
   daemon.open();
 
+  // Ten frames, one write and one fdatasync: a fall-back to per-frame
+  // writes fails here.
+  const std::uint64_t writes = hooks.writes();
   const std::uint64_t before = hooks.syncs();
-  daemon.append_many(batch);
-  EXPECT_EQ(hooks.syncs() - before, 1u);  // ten frames, one fdatasync
+  EXPECT_TRUE(daemon.append_many(batch));
+  EXPECT_EQ(hooks.writes() - writes, 1u);
+  EXPECT_EQ(hooks.syncs() - before, 1u);
 
   // The per-frame path costs one sync per frame; that is the difference
   // the writer batching buys.
@@ -944,6 +956,11 @@ TEST(Recovery, AppendManyIssuesOneSyncForTheWholeBatch) {
   daemon.ingest(frames[11]);
   EXPECT_GE(hooks.syncs() - single, 2u);
   daemon.close();
+
+  // The batch's records are the frames, in order.
+  const WalContents wal = read_frame_log(o.wal_path);
+  EXPECT_EQ(wal.frames,
+            std::vector<Frame>(frames.begin(), frames.begin() + 12));
 }
 
 TEST(BoundedQueueDrain, MovesUpToMaxInArrivalOrder) {
