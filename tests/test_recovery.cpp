@@ -789,6 +789,28 @@ void flip_middle_bit(const std::string& path) {
   xor_byte(path, static_cast<std::size_t>(fs::file_size(path) / 2), 0x10);
 }
 
+/// Raise the sample-count word of the first telemetry delta in segment
+/// file `path` by one and rewrite the frame's checksum to match: the
+/// record stays checksum-intact, but its payload no longer decodes.
+void raise_first_sample_count(const std::string& path) {
+  std::string bytes = file_bytes(path);
+  auto* data = reinterpret_cast<std::uint8_t*>(bytes.data());
+  constexpr std::size_t kSegmentHeader = 8 + 4 + 8 + 8;
+  for (std::size_t at = kSegmentHeader;
+       at + kFrameHeaderSize <= bytes.size();) {
+    const auto length = static_cast<std::size_t>(wire::load_u64(data + at + 1));
+    std::uint8_t* payload = data + at + kFrameHeaderSize;
+    if (data[at] == static_cast<std::uint8_t>(FrameKind::kHostTelemetryDelta)) {
+      wire::store_u64(payload + 16, wire::load_u64(payload + 16) + 1);
+      wire::store_u64(data + at + 9, wire::fnv1a64(payload, length));
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+      return;
+    }
+    at += kFrameHeaderSize + length;
+  }
+  FAIL() << "no telemetry delta in " << path;
+}
+
 /// Surviving chain files: how many, and the highest index with its size.
 std::string chain_files(const std::string& wal) {
   std::size_t count = 0;
@@ -879,6 +901,12 @@ TEST(ChainValidation, DamagedChainResumesMatchTheirPins) {
        },
        "19 files, last 19:908", false, 150, 13, false, 150,
        0x75f5f1a78c383c77ULL},
+      // Checksum-intact but undecodable: a restart that only checksums
+      // the frames below the snapshot would keep the whole chain.
+      {"count_word_lie_below_snapshot",
+       [&](const std::string& d) { raise_first_sample_count(seg(d, 7)); },
+       "7 files, last 7:251", false, 53, 13, false, 53,
+       0x909c96d4127676edULL},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
