@@ -16,11 +16,12 @@
 // Recovery reads the file once and keeps exactly the records a
 // one-at-a-time decode loop would accept. The scan walks a batch of record
 // headers, verifies the batch's checksums in four interleaved FNV-1a lanes,
-// then decodes each payload; it stops at the first unknown kind, overlong
-// length, checksum mismatch or payload that does not decode. That torn
-// tail is truncated away, or the file is rewritten empty when it cannot
-// be. The decoder is a template parameter: the scan makes no indirect call
-// per record.
+// then hands each payload to the wrapper's decoder, which builds it or
+// only checks that it decodes; the scan stops at the first unknown kind,
+// overlong length, checksum mismatch or payload that does not decode.
+// That torn tail is truncated away, or the file is rewritten empty when it
+// cannot be. The decoder is a template parameter: the scan makes no
+// indirect call per record.
 //
 // Appends and syncs go through WalIoHooks, so the chaos layer can inject
 // short writes, EINTR, write errors, failed syncs and fsync stalls under

@@ -136,8 +136,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Read an open fd in full (pread from offset 0; the fd's position is left
-/// untouched). Returns false when the file cannot be stat'ed or read.
+/// Read an open fd in full into `out`, replacing its contents (pread from
+/// offset 0; the fd's position is left untouched). Returns false when the
+/// file cannot be stat'ed or read.
 bool read_all(int fd, std::vector<std::uint8_t>& out);
 
 /// write() a buffer in full, retrying short writes. Returns false on error.

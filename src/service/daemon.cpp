@@ -54,9 +54,10 @@ Daemon::OpenResult Daemon::open() {
   // stream. Remove it with the stream it described.
   if (!options_.resume && !options_.snapshot_path.empty())
     std::remove(options_.snapshot_path.c_str());
-  // Read the snapshot first: the WAL scan then keeps only the frames past
+  // Read the snapshot first: the WAL scan then builds only the frames past
   // its coverage, the ones this restart re-applies. Frames below it are
-  // still checksummed and parsed, so the chain is validated the same way.
+  // still checksummed and checked by the decoder's acceptance rule
+  // (payload_decodes), so the chain is validated the same way.
   SnapshotData snap;
   const bool have_snapshot =
       options_.resume && !options_.snapshot_path.empty() &&

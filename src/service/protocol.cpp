@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "runtime/wire.h"
@@ -70,6 +71,56 @@ void encode_payload(const DecisionBatchFrame& f, ByteWriter& w) {
   }
 }
 
+// ---- acceptance: the one rule for whether a payload decodes ----
+//
+// A payload decodes when its length is exactly what its count and
+// string-length words make it, every tag byte names a known value, and a
+// DecisionBatch's `degraded` byte is 0 or 1 — so a payload that decodes
+// re-encodes to the same bytes. The checks read only those words and
+// bytes, and a counted array is checked against the payload length before
+// anything is reserved.
+
+constexpr std::size_t kSampleBytes = 8 + 8 + 8;            // vm, cpu, memory
+constexpr std::size_t kDecisionBytes = 8 + 1 + 1 + 4 + 4;  // vm, tags, from, to
+
+/// `fixed` bytes plus one string whose length word sits at offset `at`.
+bool string_fits(const std::uint8_t* p, std::size_t length, std::size_t at,
+                 std::size_t fixed) noexcept {
+  return length >= fixed && wire::load_u64(p + at) == length - fixed;
+}
+
+/// `fixed` bytes plus an array of `element`-byte entries whose count word
+/// sits at offset `at`.
+bool array_fits(const std::uint8_t* p, std::size_t length, std::size_t at,
+                std::size_t fixed, std::size_t element) noexcept {
+  return length >= fixed && (length - fixed) % element == 0 &&
+         wire::load_u64(p + at) == (length - fixed) / element;
+}
+
+bool telemetry_decodes(const std::uint8_t* p, std::size_t length) noexcept {
+  return array_fits(p, length, 16, 8 + 8 + 8, kSampleBytes);  // tick, agent, n
+}
+
+bool batch_decodes(const std::uint8_t* p, std::size_t length) noexcept {
+  constexpr std::size_t kFixed = 8 + 1 + 8;  // tick, degraded, count
+  if (!array_fits(p, length, 9, kFixed, kDecisionBytes) || p[8] > 1)
+    return false;
+  for (std::size_t at = kFixed; at < length; at += kDecisionBytes) {
+    if (p[at + 8] > static_cast<std::uint8_t>(DecisionAction::kMigrate) ||
+        p[at + 9] > static_cast<std::uint8_t>(DecisionReason::kStaleTelemetry))
+      return false;
+  }
+  return true;
+}
+
+bool reject_decodes(const std::uint8_t* p, std::size_t length) noexcept {
+  return string_fits(p, length, 9, 8 + 1 + 8) &&  // seq, code, detail length
+         p[8] >= static_cast<std::uint8_t>(RejectCode::kBadHello) &&
+         p[8] <= static_cast<std::uint8_t>(RejectCode::kUnexpectedFrame);
+}
+
+// ---- builders: run only on payloads payload_decodes accepted ----
+
 HelloFrame decode_hello(ByteReader& r) {
   HelloFrame f;
   f.version = r.u32();
@@ -115,8 +166,6 @@ RejectFrame decode_reject(ByteReader& r) {
   RejectFrame f;
   f.seq = r.u64();
   f.code = static_cast<RejectCode>(r.u8());
-  if (f.code < RejectCode::kBadHello || f.code > RejectCode::kUnexpectedFrame)
-    throw std::runtime_error("protocol: unknown reject code");
   f.detail = r.str();
   return f;
 }
@@ -132,9 +181,6 @@ DecisionBatchFrame decode_batch(ByteReader& r) {
     d.vm = r.u64();
     d.action = static_cast<DecisionAction>(r.u8());
     d.reason = static_cast<DecisionReason>(r.u8());
-    if (d.action > DecisionAction::kMigrate ||
-        d.reason > DecisionReason::kStaleTelemetry)
-      throw std::runtime_error("protocol: unknown decision tag");
     d.from = r.i32();
     d.to = r.i32();
     f.decisions.push_back(d);
@@ -314,13 +360,37 @@ DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size) {
           kFrameHeaderSize + static_cast<std::size_t>(length)};
 }
 
+bool payload_decodes(FrameKind kind, const std::uint8_t* payload,
+                     std::size_t length) noexcept {
+  switch (kind) {
+    case FrameKind::kHello:  // version, fleet hash, peer length
+      return string_fits(payload, length, 12, 4 + 8 + 8);
+    case FrameKind::kHeartbeat:
+    case FrameKind::kFlush:
+    case FrameKind::kShutdown:
+    case FrameKind::kAck:
+      return length == 8;
+    case FrameKind::kHostTelemetryDelta:
+      return telemetry_decodes(payload, length);
+    case FrameKind::kVmArrival:  // tick, vm, app length, cpu, memory
+      return string_fits(payload, length, 16, 8 + 8 + 8 + 8 + 8);
+    case FrameKind::kVmDeparture:
+      return length == 16;
+    case FrameKind::kDecisionBatch:
+      return batch_decodes(payload, length);
+    case FrameKind::kReject:
+      return reject_decodes(payload, length);
+  }
+  return false;
+}
+
 Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
                            std::size_t length) {
+  if (!payload_decodes(kind, payload, length))
+    throw std::runtime_error(std::string("protocol: malformed ") +
+                             to_string(kind) + " payload");
   ByteReader reader(payload, length);
-  Frame frame = decode_payload(kind, reader);
-  if (!reader.exhausted())
-    throw std::runtime_error("protocol: trailing payload bytes");
-  return frame;
+  return decode_payload(kind, reader);
 }
 
 }  // namespace vmcw::service

@@ -5,10 +5,12 @@
 // FNV-1a 64 checksum, and a typed payload serialized through runtime/wire
 // (little-endian integers, doubles as IEEE-754 bit patterns). A frame
 // either decodes to exactly its typed struct or throws; there is no
-// partially-understood input. Because encoding is a pure function of the
-// struct, a decoded-then-re-encoded frame is byte-identical — the property
-// the WAL replay and resume paths (service/telemetry_log, service/daemon)
-// build their determinism guarantees on.
+// partially-understood input. One check, payload_decodes(), decides
+// whether a payload decodes, and it accepts only canonical encodings.
+// Because encoding is a pure function of the struct, a decoded-then-
+// re-encoded frame is byte-identical — the property the WAL replay and
+// resume paths (service/telemetry_log, service/daemon) build their
+// determinism guarantees on.
 //
 // Layout of one frame on the wire / on disk:
 //
@@ -221,15 +223,25 @@ struct DecodedFrame {
 
 /// Decode one frame from the front of [data, data+size). Throws
 /// std::runtime_error on a short buffer, unknown kind, checksum mismatch,
-/// or a payload with trailing/missing bytes — the caller treats any throw
-/// as a torn or corrupt frame.
+/// or a payload payload_decodes() refuses — the caller treats any throw as
+/// a torn or corrupt frame.
 DecodedFrame decode_frame(const std::uint8_t* data, std::size_t size);
 
-/// The payload half of decode_frame: parse `length` payload bytes of a
-/// frame of `kind` whose header and checksum the caller has already
-/// checked. The WAL scan (service/telemetry_log) verifies a batch of
-/// checksums at once and then decodes each payload here. Throws on an
-/// unknown kind, a malformed payload or trailing bytes.
+/// Does a `length`-byte payload of a frame of `kind` decode? The one
+/// acceptance rule of the protocol: its length must be exactly what its
+/// count and string-length words make it, every tag byte must name a known
+/// value, and a DecisionBatch's `degraded` byte must be 0 or 1, so every
+/// payload that decodes re-encodes to the same bytes. Reads only those
+/// words and bytes and allocates nothing; false for an unknown kind.
+bool payload_decodes(FrameKind kind, const std::uint8_t* payload,
+                     std::size_t length) noexcept;
+
+/// The payload half of decode_frame: build the frame from `length`
+/// payload bytes of a frame of `kind` whose header and checksum the caller
+/// has already checked. Throws exactly when payload_decodes() is false.
+/// The WAL scan (service/telemetry_log) verifies a batch of checksums at
+/// once, then builds each frame a restart keeps here and runs only
+/// payload_decodes() on the others.
 Frame decode_frame_payload(FrameKind kind, const std::uint8_t* payload,
                            std::size_t length);
 

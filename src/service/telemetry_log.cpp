@@ -26,16 +26,20 @@ RecordHeader wal_header(std::uint64_t fleet_hash, std::uint32_t version,
                       {fleet_hash, base_ordinal}};
 }
 
-/// Scan decoder: parses every intact frame, numbering them from
-/// `first_ordinal`, and keeps those at ordinals >= keep_from.
+/// Scan decoder: numbers the intact frames from `first_ordinal` and builds
+/// those at ordinals >= keep_from into `kept`. The frames below it are only
+/// run through payload_decodes(), the decoder's own acceptance rule, so the
+/// scan stops at the same frame either way and builds nothing it drops.
 auto keep_frames(std::uint64_t first_ordinal, std::uint64_t keep_from,
                  std::vector<Frame>& kept) {
   return [ordinal = first_ordinal, keep_from, &kept](
-             std::uint8_t kind, const std::uint8_t* payload,
+             std::uint8_t raw_kind, const std::uint8_t* payload,
              std::size_t length) mutable {
-    Frame frame =
-        decode_frame_payload(static_cast<FrameKind>(kind), payload, length);
-    if (ordinal++ >= keep_from) kept.push_back(std::move(frame));
+    const auto kind = static_cast<FrameKind>(raw_kind);
+    if (ordinal++ >= keep_from)
+      kept.emplace_back(decode_frame_payload(kind, payload, length));
+    else if (!payload_decodes(kind, payload, length))
+      throw std::runtime_error("frame WAL: malformed payload");
   };
 }
 

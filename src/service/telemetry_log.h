@@ -17,8 +17,10 @@
 //    record. A log for another fleet shape is stale and rewritten, so
 //    resuming never mixes streams across fleet configurations.
 //  - the records: one protocol frame each (kinds Hello..Reject), decoded
-//    by service/protocol. Every intact frame is parsed, but a resuming
-//    daemon keeps only those at or past its snapshot's coverage.
+//    by service/protocol. A resuming daemon builds only the frames at or
+//    past its snapshot's coverage; every other intact frame is checksummed
+//    and run through payload_decodes(), the decoder's acceptance rule, so
+//    the scan keeps the same prefix without building what it drops.
 //  - the segment chain (SegmentedFrameLog): one logical WAL split into
 //    sealed version-2 segment files (`<base>.segNNNNNN`), validated by
 //    base continuity at open. Segments older than the newest durable
@@ -91,8 +93,9 @@ class FrameLog {
   /// layout: 1 is the standalone single-file WAL; 2 stamps `base_ordinal`
   /// (the global index of the file's first frame) for segment-chain files
   /// — SegmentedFrameLog is the only caller that passes 2. Every intact
-  /// frame is checksummed and parsed, but only those whose ordinal
-  /// (base_ordinal + index) is at least `keep_from` are returned.
+  /// frame is checksummed and checked by payload_decodes(); only those
+  /// whose ordinal (base_ordinal + index) is at least `keep_from` are
+  /// built and returned.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint32_t version = 1, std::uint64_t base_ordinal = 0,
                 std::uint64_t keep_from = 0);
@@ -201,9 +204,10 @@ class SegmentedFrameLog {
   };
 
   /// Open the chain at `path`, recovering it with `resume`. Each segment
-  /// file is read once; every intact frame is checksummed and parsed, so
-  /// chain validation, unlinks and torn-tail truncation do not depend on
-  /// `keep_from`, but only frames at ordinals >= keep_from are returned.
+  /// file is read once; every intact frame is checksummed and checked by
+  /// payload_decodes(), so chain validation, unlinks and torn-tail
+  /// truncation do not depend on `keep_from`, but only frames at ordinals
+  /// >= keep_from are built and returned.
   Recovery open(const std::string& path, std::uint64_t fleet_hash, bool resume,
                 std::uint64_t segment_frames, std::uint64_t keep_from = 0);
 

@@ -204,6 +204,179 @@ TEST(ProtocolFuzz, TruncationsBitFlipsAndLengthLies) {
   }
 }
 
+/// The strict field-by-field reading the acceptance rule must agree with:
+/// every field present, every tag a known value, a DecisionBatch's
+/// `degraded` byte 0 or 1, and nothing left over.
+bool reference_accepts(FrameKind kind, const std::vector<std::uint8_t>& p) {
+  wire::ByteReader r(p.data(), p.size());
+  try {
+    switch (kind) {
+      case FrameKind::kHello:
+        r.u32();
+        r.u64();
+        r.str();
+        break;
+      case FrameKind::kHeartbeat:
+      case FrameKind::kFlush:
+      case FrameKind::kShutdown:
+      case FrameKind::kAck:
+        r.u64();
+        break;
+      case FrameKind::kHostTelemetryDelta: {
+        r.u64();
+        r.u64();
+        const std::uint64_t n = r.u64();
+        for (std::uint64_t i = 0; i < n; ++i) {
+          r.u64();
+          r.f64();
+          r.f64();
+        }
+        break;
+      }
+      case FrameKind::kVmArrival:
+        r.u64();
+        r.u64();
+        r.str();
+        r.f64();
+        r.f64();
+        break;
+      case FrameKind::kVmDeparture:
+        r.u64();
+        r.u64();
+        break;
+      case FrameKind::kDecisionBatch: {
+        r.u64();
+        if (r.u8() > 1) return false;
+        const std::uint64_t n = r.u64();
+        for (std::uint64_t i = 0; i < n; ++i) {
+          r.u64();
+          const std::uint8_t action = r.u8();
+          const std::uint8_t reason = r.u8();
+          if (action > static_cast<std::uint8_t>(DecisionAction::kMigrate) ||
+              reason >
+                  static_cast<std::uint8_t>(DecisionReason::kStaleTelemetry))
+            return false;
+          r.i32();
+          r.i32();
+        }
+        break;
+      }
+      case FrameKind::kReject: {
+        r.u64();
+        const std::uint8_t code = r.u8();
+        if (code < static_cast<std::uint8_t>(RejectCode::kBadHello) ||
+            code > static_cast<std::uint8_t>(RejectCode::kUnexpectedFrame))
+          return false;
+        r.str();
+        break;
+      }
+    }
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return r.exhausted();
+}
+
+/// Frame `payload` as a `kind` frame with matching length and checksum
+/// words, so a mutation reaches the payload rules instead of failing the
+/// checksum.
+std::vector<std::uint8_t> reframe(FrameKind kind,
+                                  const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> bytes(kFrameHeaderSize);
+  bytes[0] = static_cast<std::uint8_t>(kind);
+  wire::store_u64(bytes.data() + 1, payload.size());
+  wire::store_u64(bytes.data() + 9,
+                  wire::fnv1a64(payload.data(), payload.size()));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+/// Tallies one payload's verdicts: payload_decodes, the strict reading and
+/// decode_frame must agree, and an accepted payload must re-encode to the
+/// same bytes. The first few disagreements are kept for the message.
+struct VerdictTally {
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::size_t disagreements = 0;
+  std::string first;
+
+  void check(FrameKind kind, const std::vector<std::uint8_t>& payload,
+             const std::string& what) {
+    const bool checked = payload_decodes(kind, payload.data(), payload.size());
+    const bool strict = reference_accepts(kind, payload);
+    const std::vector<std::uint8_t> bytes = reframe(kind, payload);
+    std::optional<Frame> decoded;
+    try {
+      decoded = decode_frame(bytes.data(), bytes.size()).frame;
+    } catch (const std::runtime_error&) {
+    }
+    std::string wrong;
+    if (checked != strict) wrong += " check!=strict";
+    if (decoded.has_value() != checked) wrong += " decode!=check";
+    if (decoded && encode_frame(*decoded) != bytes) wrong += " not canonical";
+    if (!wrong.empty() && ++disagreements <= 5)
+      first += "\n  " + std::string(to_string(kind)) + " " + what + ":" + wrong;
+    ++(checked ? accepted : rejected);
+  }
+};
+
+TEST(ProtocolFuzz, PayloadMutationsKeepOneCanonicalVerdict) {
+  Rng rng(0x0ca7'0f1e);
+  VerdictTally tally;
+  for (const Frame& frame : sample_frames()) {
+    const FrameKind kind = frame_kind(frame);
+    const std::vector<std::uint8_t> encoded = encode_frame(frame);
+    const std::vector<std::uint8_t> good(encoded.begin() + kFrameHeaderSize,
+                                         encoded.end());
+    tally.check(kind, good, "as encoded");
+    // Every truncation, and trailing bytes past the end.
+    for (std::size_t cut = 0; cut < good.size(); ++cut) {
+      const std::vector<std::uint8_t> shorter(good.begin(), good.begin() + cut);
+      tally.check(kind, shorter, "cut at " + std::to_string(cut));
+    }
+    for (std::size_t extra = 1; extra <= 8; ++extra) {
+      std::vector<std::uint8_t> longer = good;
+      longer.resize(good.size() + extra, 0);
+      tally.check(kind, longer, "plus " + std::to_string(extra));
+    }
+    // Every other value of every byte: tags, the degraded byte and every
+    // byte of every count and length word among them.
+    for (std::size_t at = 0; at < good.size(); ++at) {
+      for (unsigned v = 0; v < 256; ++v) {
+        if (v == good[at]) continue;
+        std::vector<std::uint8_t> bytes = good;
+        bytes[at] = static_cast<std::uint8_t>(v);
+        tally.check(kind, bytes,
+                    "byte " + std::to_string(at) + " = " + std::to_string(v));
+      }
+    }
+    // Count and length lies up to 2^40, written as a whole word at every
+    // offset, so each count and string-length word gets all of them.
+    std::vector<std::uint64_t> lies = {0, 1, 2, 3, 255, 1ull << 16,
+                                       1ull << 32, (1ull << 40) - 1,
+                                       1ull << 40};
+    for (int i = 0; i < 8; ++i)
+      lies.push_back(static_cast<std::uint64_t>(rng.uniform_int(0, 1ll << 40)));
+    for (std::size_t at = 0; at + 8 <= good.size(); ++at) {
+      const std::uint64_t word = wire::load_u64(good.data() + at);
+      std::vector<std::uint64_t> here = lies;
+      here.push_back(word - 1);
+      here.push_back(word + 1);
+      for (const std::uint64_t lie : here) {
+        std::vector<std::uint8_t> bytes = good;
+        wire::store_u64(bytes.data() + at, lie);
+        tally.check(kind, bytes, "word at " + std::to_string(at) + " = " +
+                                     std::to_string(lie));
+      }
+    }
+  }
+  EXPECT_EQ(tally.disagreements, 0u) << tally.first;
+  // Both verdicts are exercised: free fields take any value, structural
+  // ones almost none.
+  EXPECT_GT(tally.accepted, 10000u);
+  EXPECT_GT(tally.rejected, 10000u);
+}
+
 TEST(ProtocolFuzz, RandomGarbageNeverDecodesPartially) {
   Rng rng(0xbadc'0de5);
   for (int trial = 0; trial < 2000; ++trial) {
