@@ -190,7 +190,7 @@ void BM_RepairAndDrain(benchmark::State& state) {
     load.back() += sizes[vm];
   }
 
-  RepairOutcome outcome;
+  RepairWorkspace workspace;
   for (auto _ : state) {
     state.PauseTiming();
     Placement tick_placement = placement;
@@ -201,14 +201,15 @@ void BM_RepairAndDrain(benchmark::State& state) {
       index.set_load(h, tick_load[h]);
     }
     state.ResumeTiming();
-    outcome = repair_and_drain(sizes, tick_placement, tick_load, pool, bound,
-                               drain_below, constraints, {}, &index);
+    const RepairOutcome& outcome =
+        repair_and_drain(workspace, sizes, tick_placement, tick_load, pool,
+                         bound, drain_below, constraints, {}, &index);
     benchmark::DoNotOptimize(outcome.drain_moves.size());
   }
   state.counters["repair_moves"] =
-      static_cast<double>(outcome.repair_moves.size());
+      static_cast<double>(workspace.outcome.repair_moves.size());
   state.counters["drained_hosts"] =
-      static_cast<double>(outcome.drained_hosts.size());
+      static_cast<double>(workspace.outcome.drained_hosts.size());
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RepairAndDrain)

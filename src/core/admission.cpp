@@ -4,6 +4,7 @@
 
 #include "runtime/thread_pool.h"
 #include "core/capacity_index.h"
+#include "util/reuse.h"
 
 namespace vmcw {
 
@@ -37,7 +38,7 @@ std::vector<std::vector<std::size_t>> placement_groups(
   return groups;
 }
 
-std::optional<std::size_t> admit_group(const std::vector<std::size_t>& group,
+std::optional<std::size_t> admit_group(std::span<const std::size_t> group,
                                        const ResourceVector& group_size,
                                        std::vector<ResourceVector>& host_load,
                                        const HostPool& pool,
@@ -113,12 +114,12 @@ std::optional<std::size_t> admit_one(std::size_t vm, const ResourceVector& size,
                                      const ConstraintSet& constraints,
                                      Placement& placement,
                                      const AdmissionOptions& options) {
-  const std::vector<std::size_t> group{vm};
+  const std::size_t group[] = {vm};
   return admit_group(group, size, host_load, pool, utilization_bound,
                      constraints, placement, options);
 }
 
-bool admit_group_at(const std::vector<std::size_t>& group,
+bool admit_group_at(std::span<const std::size_t> group,
                     const ResourceVector& group_size, std::size_t host,
                     std::vector<ResourceVector>& host_load,
                     const HostPool& pool, double utilization_bound,
@@ -143,15 +144,55 @@ bool admit_group_at(const std::vector<std::size_t>& group,
   return true;
 }
 
-RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
-                               Placement& placement,
-                               std::vector<ResourceVector>& host_load,
-                               const HostPool& pool, double utilization_bound,
-                               double drain_below,
-                               const ConstraintSet& constraints,
-                               std::span<const std::uint8_t> frozen_hosts,
-                               CapacityIndex* index) {
-  RepairOutcome out;
+namespace {
+
+/// Visit `host`'s residents: those at entry in ascending VM order, then
+/// the VMs the call moved onto it, in the order they came.
+template <typename Visit>
+void for_each_resident(const RepairWorkspace& ws, std::size_t host,
+                       std::size_t scanned_hosts, Visit&& visit) {
+  if (host < scanned_hosts)
+    for (std::size_t i = ws.offset[host]; i < ws.offset[host + 1]; ++i)
+      if (ws.moved[ws.base[i]] == 0) visit(ws.base[i]);
+  if (host < ws.head.size())
+    for (std::uint32_t e = ws.head[host]; e != 0; e = ws.appended[e - 1].next)
+      if (ws.moved[ws.appended[e - 1].vm] == e) visit(ws.appended[e - 1].vm);
+}
+
+/// `vm` left `from` for `to`: append it to `to`'s chain, retiring its older
+/// entries.
+void record_move(RepairWorkspace& ws, std::size_t vm, std::size_t from,
+                 std::size_t to) {
+  if (to >= ws.head.size()) {
+    ws.head.resize(to + 1, 0);
+    ws.tail.resize(to + 1, 0);
+    ws.residents.resize(to + 1, 0);
+  }
+  ws.appended.push_back({vm, 0});
+  const auto e = static_cast<std::uint32_t>(ws.appended.size());
+  if (ws.tail[to] == 0)
+    ws.head[to] = e;
+  else
+    ws.appended[ws.tail[to] - 1].next = e;
+  ws.tail[to] = e;
+  ws.moved[vm] = e;
+  --ws.residents[from];
+  ++ws.residents[to];
+}
+
+}  // namespace
+
+const RepairOutcome& repair_and_drain(
+    RepairWorkspace& ws, std::span<const ResourceVector> sizes,
+    Placement& placement, std::vector<ResourceVector>& host_load,
+    const HostPool& pool, double utilization_bound, double drain_below,
+    const ConstraintSet& constraints,
+    std::span<const std::uint8_t> frozen_hosts, CapacityIndex* index) {
+  RepairOutcome& out = ws.outcome;
+  out.repair_moves.clear();
+  out.drain_moves.clear();
+  out.unresolved_hosts.clear();
+  out.drained_hosts.clear();
   const std::size_t n = placement.vm_count();
   const std::size_t scanned_hosts = host_load.size();
   // Every direct host_load mutation below pairs with a sync; admit_one
@@ -164,51 +205,68 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
   // pinned; everything else stays where the batch planner put it. A root
   // is its group's smallest member, so every VM below n has its root below
   // n too, and one count per root sizes each group.
-  std::vector<std::uint32_t> members(n, 0);
+  refill(ws.members, n, std::uint32_t{0});
   for (std::size_t vm = 0; vm < n; ++vm)
-    ++members[constraints.affinity_root(vm)];
-  std::vector<std::uint8_t> movable(n, 0);
+    ++ws.members[constraints.affinity_root(vm)];
+  ws.movable.resize(n);
   for (std::size_t vm = 0; vm < n; ++vm)
-    movable[vm] = members[constraints.affinity_root(vm)] == 1 &&
-                  constraints.pinned_host(vm) == Placement::kUnplaced;
+    ws.movable[vm] = ws.members[constraints.affinity_root(vm)] == 1;
+  for (const auto& pin : constraints.pins())
+    if (pin.first < n &&
+        constraints.pinned_host(pin.first) != Placement::kUnplaced)
+      ws.movable[pin.first] = 0;
 
-  // Residents per host in ascending VM order, each list sized up front.
-  std::vector<std::uint32_t> resident_count(scanned_hosts, 0);
+  // Residents per host at entry, ascending: count, prefix-sum into run
+  // ends, fill each run, then shift the ends back into starts.
+  refill(ws.residents, scanned_hosts, std::uint32_t{0});
   for (std::size_t vm = 0; vm < n; ++vm) {
     const std::int32_t h = placement.host_of(vm);
     if (h != Placement::kUnplaced &&
         static_cast<std::size_t>(h) < scanned_hosts)
-      ++resident_count[static_cast<std::size_t>(h)];
+      ++ws.residents[static_cast<std::size_t>(h)];
   }
-  std::vector<std::vector<std::size_t>> vms_by_host(scanned_hosts);
+  ws.offset.resize(scanned_hosts + 1);
+  ws.offset[0] = 0;
   for (std::size_t host = 0; host < scanned_hosts; ++host)
-    vms_by_host[host].reserve(resident_count[host]);
+    ws.offset[host + 1] = ws.offset[host] + ws.residents[host];
+  ws.base.resize(ws.offset[scanned_hosts]);
   for (std::size_t vm = 0; vm < n; ++vm) {
     const std::int32_t h = placement.host_of(vm);
     if (h != Placement::kUnplaced &&
         static_cast<std::size_t>(h) < scanned_hosts)
-      vms_by_host[static_cast<std::size_t>(h)].push_back(vm);
+      ws.base[ws.offset[static_cast<std::size_t>(h)]++] = vm;
   }
+  for (std::size_t host = scanned_hosts; host > 0; --host)
+    ws.offset[host] = ws.offset[host - 1];
+  ws.offset[0] = 0;
+  refill(ws.moved, n, std::uint32_t{0});
+  ws.appended.clear();
+  refill(ws.head, scanned_hosts, std::uint32_t{0});
+  refill(ws.tail, scanned_hosts, std::uint32_t{0});
 
   // Threshold classification fans across the pool — each slot is written
   // by exactly one task, so the flag vector (and everything sequential
   // below it) is bit-identical at any thread count. Admission never pushes
   // a *target* past its bound, so the overloaded set cannot grow while we
   // repair; drain candidacy is pinned to the loads as classified here.
-  std::vector<std::uint8_t> overloaded(scanned_hosts, 0);
-  std::vector<std::uint8_t> drainable(scanned_hosts, 0);
-  parallel_for(0, scanned_hosts, [&](std::size_t host) {
+  refill(ws.overloaded, scanned_hosts, std::uint8_t{0});
+  refill(ws.drainable, scanned_hosts, std::uint8_t{0});
+  const auto classify = [&](std::size_t host) {
     const ResourceVector capacity =
         pool.capacity_of(host, utilization_bound);
-    if (!host_load[host].fits_within(capacity)) overloaded[host] = 1;
-    if (drain_below > 0 && !vms_by_host[host].empty() &&
+    if (!host_load[host].fits_within(capacity)) ws.overloaded[host] = 1;
+    if (drain_below > 0 && ws.residents[host] != 0 &&
         normalized_load(host_load[host], capacity) < drain_below)
-      drainable[host] = 1;
-  });
+      ws.drainable[host] = 1;
+  };
+  // One captured reference fits std::function's inline buffer: no
+  // allocation per call.
+  parallel_for(0, scanned_hosts,
+               [&classify](std::size_t host) { classify(host); });
 
   // ---- repair: evict until the host fits, re-admitting each evictee ----
   for (std::size_t host = 0; host < scanned_hosts; ++host) {
-    if (!overloaded[host] || frozen_at(frozen_hosts, host)) continue;
+    if (!ws.overloaded[host] || frozen_at(frozen_hosts, host)) continue;
     const ResourceVector capacity =
         pool.capacity_of(host, utilization_bound);
     while (!host_load[host].fits_within(capacity)) {
@@ -219,8 +277,8 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
       double best_single_key = 0.0;
       std::size_t largest = kNone;
       double largest_key = -1.0;
-      for (std::size_t vm : vms_by_host[host]) {
-        if (!movable[vm]) continue;
+      for_each_resident(ws, host, scanned_hosts, [&](std::size_t vm) {
+        if (!ws.movable[vm]) return;
         const double key = normalized_load(sizes[vm], capacity);
         const bool resolves = sizes[vm].cpu_rpe2 >= excess.cpu_rpe2 - 1e-9 &&
                               sizes[vm].memory_mb >= excess.memory_mb - 1e-9;
@@ -232,7 +290,7 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
           largest = vm;
           largest_key = key;
         }
-      }
+      });
       const std::size_t victim = best_single != kNone ? best_single : largest;
       if (victim == kNone) {  // only pinned/grouped VMs remain
         out.unresolved_hosts.push_back(host);
@@ -255,11 +313,7 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
         out.unresolved_hosts.push_back(host);
         break;
       }
-      auto& residents = vms_by_host[host];
-      residents.erase(std::remove(residents.begin(), residents.end(), victim),
-                      residents.end());
-      if (*target >= vms_by_host.size()) vms_by_host.resize(host_load.size());
-      vms_by_host[*target].push_back(victim);
+      record_move(ws, victim, host, *target);
       out.repair_moves.push_back(
           {victim, static_cast<std::int32_t>(host),
            static_cast<std::int32_t>(*target)});
@@ -267,40 +321,51 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
   }
 
   // ---- drain: empty underutilized hosts entirely, or not at all ----
+  // Targets: non-empty, unfrozen hosts other than the candidate. Opening a
+  // fresh host (or refilling a drained one) would free nothing. The filter
+  // is set once here: a drain empties only its candidate, which stays
+  // filtered, and fills only hosts that were already non-empty.
+  ws.drain_frozen.resize(host_load.size());
+  for (std::size_t h = 0; h < host_load.size(); ++h)
+    ws.drain_frozen[h] = frozen_at(frozen_hosts, h) ||
+                         h >= ws.residents.size() || ws.residents[h] == 0;
   for (std::size_t host = 0; host < scanned_hosts; ++host) {
-    if (!drainable[host] || frozen_at(frozen_hosts, host)) continue;
-    if (vms_by_host[host].empty()) continue;  // repair already emptied it
+    if (!ws.drainable[host] || frozen_at(frozen_hosts, host)) continue;
+    if (ws.residents[host] == 0) continue;  // repair already emptied it
     bool all_movable = true;
-    for (std::size_t vm : vms_by_host[host])
-      if (!movable[vm]) all_movable = false;
+    for_each_resident(ws, host, scanned_hosts, [&](std::size_t vm) {
+      if (!ws.movable[vm]) all_movable = false;
+    });
     if (!all_movable) continue;
 
-    // Targets: non-empty, unfrozen hosts other than the candidate. Opening
-    // a fresh host (or refilling a drained one) would free nothing.
-    std::vector<std::uint8_t> drain_frozen(host_load.size(), 0);
-    for (std::size_t h = 0; h < host_load.size(); ++h)
-      drain_frozen[h] =
-          frozen_at(frozen_hosts, h) ||
-          (h < vms_by_host.size() ? vms_by_host[h].empty() : true);
-    drain_frozen[host] = 1;
-
-    std::vector<std::size_t> order = vms_by_host[host];
+    // Largest first; equal keys keep resident order (a stable sort that
+    // needs no buffer).
     const ResourceVector capacity =
         pool.capacity_of(host, utilization_bound);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return normalized_load(sizes[a], capacity) >
-                              normalized_load(sizes[b], capacity);
-                     });
+    ws.order_vms.clear();
+    for_each_resident(ws, host, scanned_hosts,
+                      [&](std::size_t vm) { ws.order_vms.push_back(vm); });
+    ws.order.clear();
+    for (std::size_t i = 0; i < ws.order_vms.size(); ++i)
+      ws.order.emplace_back(normalized_load(sizes[ws.order_vms[i]], capacity),
+                            i);
+    std::sort(ws.order.begin(), ws.order.end(),
+              [](const auto& a, const auto& b) {
+                if (a.first > b.first) return true;
+                if (b.first > a.first) return false;
+                return a.second < b.second;
+              });
 
-    std::vector<PlacementMove> trial;
+    ws.drain_frozen[host] = 1;
+    ws.trial.clear();
     bool complete = true;
-    for (std::size_t vm : order) {
+    for (const auto& entry : ws.order) {
+      const std::size_t vm = ws.order_vms[entry.second];
       placement.unassign(vm);
       host_load[host] -= sizes[vm];
       sync(host);
       AdmissionOptions options;
-      options.frozen_hosts = drain_frozen;
+      options.frozen_hosts = ws.drain_frozen;
       options.open_new_hosts = false;
       options.index = index;
       const auto target = admit_one(vm, sizes[vm], host_load, pool,
@@ -313,24 +378,25 @@ RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
         complete = false;
         break;
       }
-      trial.push_back({vm, static_cast<std::int32_t>(host),
-                       static_cast<std::int32_t>(*target)});
+      ws.trial.push_back({vm, static_cast<std::int32_t>(host),
+                          static_cast<std::int32_t>(*target)});
     }
     if (!complete) {  // roll the partial drain back; all or nothing
-      for (auto it = trial.rbegin(); it != trial.rend(); ++it) {
+      for (auto it = ws.trial.rbegin(); it != ws.trial.rend(); ++it) {
         placement.assign(it->vm, it->from);
         host_load[static_cast<std::size_t>(it->to)] -= sizes[it->vm];
         host_load[static_cast<std::size_t>(it->from)] += sizes[it->vm];
         sync(static_cast<std::size_t>(it->to));
         sync(static_cast<std::size_t>(it->from));
       }
+      ws.drain_frozen[host] = 0;
       continue;
     }
-    for (const PlacementMove& move : trial)
-      vms_by_host[static_cast<std::size_t>(move.to)].push_back(move.vm);
-    vms_by_host[host].clear();
+    for (const PlacementMove& move : ws.trial)
+      record_move(ws, move.vm, host, static_cast<std::size_t>(move.to));
     out.drained_hosts.push_back(host);
-    out.drain_moves.insert(out.drain_moves.end(), trial.begin(), trial.end());
+    out.drain_moves.insert(out.drain_moves.end(), ws.trial.begin(),
+                           ws.trial.end());
   }
 
   return out;

@@ -13,8 +13,10 @@
 // pure function of the inputs, bit-identical at any thread count.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.h"
@@ -54,7 +56,7 @@ struct AdmissionOptions {
 /// except that `host_load` may have grown by empty trailing hosts probed
 /// along the way (they carry zero load and are reused by later calls).
 /// Returns std::nullopt when no host in the pool can take the group.
-std::optional<std::size_t> admit_group(const std::vector<std::size_t>& group,
+std::optional<std::size_t> admit_group(std::span<const std::size_t> group,
                                        const ResourceVector& group_size,
                                        std::vector<ResourceVector>& host_load,
                                        const HostPool& pool,
@@ -64,7 +66,7 @@ std::optional<std::size_t> admit_group(const std::vector<std::size_t>& group,
                                        const AdmissionOptions& options = {});
 
 /// Single-VM admission: the daemon's arrival path and the unit the batch
-/// packers are built from.
+/// packers are built from. Allocates nothing unless it opens a host.
 std::optional<std::size_t> admit_one(std::size_t vm,
                                      const ResourceVector& size,
                                      std::vector<ResourceVector>& host_load,
@@ -78,7 +80,7 @@ std::optional<std::size_t> admit_one(std::size_t vm,
 /// `host_load` is extended up to the pin when needed. When `index` is set
 /// it is kept in sync (opened hosts pushed, the pinned host's load
 /// refreshed on success).
-bool admit_group_at(const std::vector<std::size_t>& group,
+bool admit_group_at(std::span<const std::size_t> group,
                     const ResourceVector& group_size, std::size_t host,
                     std::vector<ResourceVector>& host_load,
                     const HostPool& pool, double utilization_bound,
@@ -112,6 +114,42 @@ struct RepairOutcome {
   std::vector<std::size_t> drained_hosts;
 };
 
+/// The storage repair_and_drain works in: the outcome of the latest call
+/// and every per-call scratch array. A caller that re-plans once per tick
+/// (the daemon) keeps one, so a call allocates only while the fleet grows
+/// past every earlier one. Contents between calls are meaningless except
+/// `outcome`.
+struct RepairWorkspace {
+  RepairOutcome outcome;
+
+  // Movability per VM: affinity-group member counts per root, then flags.
+  std::vector<std::uint32_t> members;
+  std::vector<std::uint8_t> movable;
+  // Residents per host as a count-offset array over the hosts the call
+  // scans: host h's residents at entry are base[offset[h], offset[h+1]) in
+  // ascending VM order. A VM the call moves gets an entry appended to its
+  // target's chain (head/tail/next, in move order) and `moved[vm]` names
+  // that entry (1-based; 0 = never moved), which retires every older one.
+  struct Appended {
+    std::size_t vm = 0;
+    std::uint32_t next = 0;  ///< next entry of the same host; 0 = none
+  };
+  std::vector<std::size_t> offset;
+  std::vector<std::size_t> base;
+  std::vector<std::uint32_t> moved;
+  std::vector<Appended> appended;      ///< entry e at appended[e - 1]
+  std::vector<std::uint32_t> head;     ///< per host; 0 = empty chain
+  std::vector<std::uint32_t> tail;
+  std::vector<std::uint32_t> residents;  ///< live resident count per host
+  // Threshold classes and the drain phase's target filter.
+  std::vector<std::uint8_t> overloaded;
+  std::vector<std::uint8_t> drainable;
+  std::vector<std::uint8_t> drain_frozen;
+  std::vector<std::pair<double, std::size_t>> order;  ///< (key, position)
+  std::vector<std::size_t> order_vms;
+  std::vector<PlacementMove> trial;
+};
+
 /// Threshold-triggered partial re-plan: instead of re-packing the estate,
 /// visit only hosts that cross a threshold.
 ///
@@ -122,6 +160,9 @@ struct RepairOutcome {
 ///  - Drain: hosts whose normalized load is below `drain_below` (> 0) are
 ///    emptied entirely onto other non-empty hosts when every resident VM
 ///    relocates; otherwise the host is left untouched (trial + rollback).
+///
+/// A host's residents are visited in ascending VM order, then the VMs the
+/// call moved onto it, in the order they arrived.
 ///
 /// Only movable VMs participate: not pinned, and the only member of their
 /// affinity group below n = placement.vm_count() (moving one member of a
@@ -138,14 +179,13 @@ struct RepairOutcome {
 /// and `host_load` must agree and are updated in place. An optional
 /// `index` (in sync with `host_load` on entry, see AdmissionOptions::index)
 /// accelerates every re-admission's target search and is kept in sync with
-/// each eviction/relocation/rollback.
-RepairOutcome repair_and_drain(std::span<const ResourceVector> sizes,
-                               Placement& placement,
-                               std::vector<ResourceVector>& host_load,
-                               const HostPool& pool, double utilization_bound,
-                               double drain_below,
-                               const ConstraintSet& constraints,
-                               std::span<const std::uint8_t> frozen_hosts = {},
-                               CapacityIndex* index = nullptr);
+/// each eviction/relocation/rollback. The result is `workspace.outcome`.
+const RepairOutcome& repair_and_drain(
+    RepairWorkspace& workspace, std::span<const ResourceVector> sizes,
+    Placement& placement, std::vector<ResourceVector>& host_load,
+    const HostPool& pool, double utilization_bound, double drain_below,
+    const ConstraintSet& constraints,
+    std::span<const std::uint8_t> frozen_hosts = {},
+    CapacityIndex* index = nullptr);
 
 }  // namespace vmcw

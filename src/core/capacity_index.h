@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "hardware/server_spec.h"
@@ -53,16 +54,33 @@ class CapacityIndex {
 
   std::size_t size() const noexcept { return count_; }
 
-  void reserve(std::size_t hosts) {
-    if (hosts > slots_) regrow(hosts);
-  }
-
   /// Append one host with zero load (free = its full capacity).
   void push_host(const ResourceVector& capacity) {
     if (count_ == slots_) regrow(count_ == 0 ? 64 : count_ * 2);
-    capacity_.push_back(capacity);
     const std::size_t host = count_++;
+    capacity_[host] = capacity;
+    load_[host] = ResourceVector{};
     write_leaf(host);
+  }
+
+  /// Refill the index in place over hosts [0, loads.size()): host h has
+  /// capacity `capacity_of(h)` and load `loads[h]`. Leaves are written
+  /// once and the inner nodes bottom-up, O(n) against push_host + set_load
+  /// per host (each O(log n)); storage is reused, so a caller refilling
+  /// every tick allocates only when the fleet outgrows every earlier one.
+  /// first_fit then answers exactly as on an index built host by host.
+  template <typename CapacityOf>
+  void assign(std::span<const ResourceVector> loads, CapacityOf&& capacity_of) {
+    if (loads.size() > slots_) regrow(loads.size());
+    count_ = loads.size();
+    for (std::size_t host = 0; host < count_; ++host) {
+      capacity_[host] = capacity_of(host);
+      load_[host] = loads[host];
+      tree_[slots_ + host] = leaf(host);
+    }
+    for (std::size_t host = count_; host < slots_; ++host)
+      tree_[slots_ + host] = Free{};
+    for (std::size_t node = slots_; node-- > 1;) pull(node);
   }
 
   /// Re-derive host's free capacity from the caller's authoritative load
@@ -95,18 +113,25 @@ class CapacityIndex {
     double mem = -1.0;
   };
 
-  void write_leaf(std::size_t host) noexcept {
+  Free leaf(std::size_t host) const noexcept {
     const ResourceVector& cap = capacity_[host];
     const ResourceVector& load = load_[host];
-    Free& leaf = tree_[slots_ + host];
-    leaf.cpu = cap.cpu_rpe2 - load.cpu_rpe2 + slack_for(cap.cpu_rpe2);
-    leaf.mem = cap.memory_mb - load.memory_mb + slack_for(cap.memory_mb);
-    for (std::size_t node = (slots_ + host) / 2; node >= 1; node /= 2) {
-      const Free& a = tree_[node * 2];
-      const Free& b = tree_[node * 2 + 1];
-      tree_[node].cpu = a.cpu > b.cpu ? a.cpu : b.cpu;
-      tree_[node].mem = a.mem > b.mem ? a.mem : b.mem;
-    }
+    return Free{cap.cpu_rpe2 - load.cpu_rpe2 + slack_for(cap.cpu_rpe2),
+                cap.memory_mb - load.memory_mb + slack_for(cap.memory_mb)};
+  }
+
+  /// Inner node = component-wise maximum of its two children.
+  void pull(std::size_t node) noexcept {
+    const Free& a = tree_[node * 2];
+    const Free& b = tree_[node * 2 + 1];
+    tree_[node].cpu = a.cpu > b.cpu ? a.cpu : b.cpu;
+    tree_[node].mem = a.mem > b.mem ? a.mem : b.mem;
+  }
+
+  void write_leaf(std::size_t host) noexcept {
+    tree_[slots_ + host] = leaf(host);
+    for (std::size_t node = (slots_ + host) / 2; node >= 1; node /= 2)
+      pull(node);
   }
 
   std::size_t descend(std::size_t node, std::size_t lo, std::size_t hi,
@@ -127,7 +152,7 @@ class CapacityIndex {
     while (slots < min_slots) slots *= 2;
     tree_.assign(2 * slots, Free{});
     slots_ = slots;
-    capacity_.reserve(slots);
+    capacity_.resize(slots);
     load_.resize(slots);
     // Rebuild leaves bottom-up: write_leaf refreshes every ancestor, so
     // seeding each leaf once restores the whole tree.
@@ -135,7 +160,7 @@ class CapacityIndex {
   }
 
   std::vector<Free> tree_;  ///< 1-based heap layout; leaves at slots_ + i
-  std::vector<ResourceVector> capacity_;
+  std::vector<ResourceVector> capacity_;  ///< per slot; hosts < count_ live
   std::vector<ResourceVector> load_;
   std::size_t slots_ = 0;
   std::size_t count_ = 0;

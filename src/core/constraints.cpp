@@ -15,20 +15,21 @@ std::int32_t DomainLookup::domain_of(std::int32_t host) const noexcept {
   return tail_first_domain + static_cast<std::int32_t>((h - tail_base) / stride);
 }
 
-ConstraintSet::ConstraintSet(std::size_t vm_count) {
+ConstraintSet::ConstraintSet(std::size_t vm_count) { reset(vm_count); }
+
+void ConstraintSet::reset(std::size_t vm_count) {
   parent_.resize(vm_count);
   for (std::size_t i = 0; i < vm_count; ++i) parent_[i] = i;
+  has_affinity_ = false;
+  anti_affinity_.clear();
+  pins_.clear();
+  forbidden_.clear();
+  spread_.clear();
+  for (auto& rules : spread_of_vm_) rules.clear();
 }
 
 void ConstraintSet::ensure_size(std::size_t vm) {
   while (parent_.size() <= vm) parent_.push_back(parent_.size());
-}
-
-std::size_t ConstraintSet::affinity_root(std::size_t vm) const noexcept {
-  if (vm >= parent_.size()) return vm;
-  std::size_t root = vm;
-  while (parent_[root] != root) root = parent_[root];
-  return root;
 }
 
 std::size_t ConstraintSet::compress_to_root(std::size_t vm) {
@@ -152,7 +153,7 @@ std::size_t ConstraintSet::placed_in_same_domain(
   return members;
 }
 
-bool ConstraintSet::allows_group(const std::vector<std::size_t>& group,
+bool ConstraintSet::allows_group(std::span<const std::size_t> group,
                                  std::int32_t host,
                                  const Placement& partial) const noexcept {
   for (std::size_t vm : group)

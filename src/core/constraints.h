@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -65,6 +66,10 @@ class ConstraintSet {
   ConstraintSet() = default;
   explicit ConstraintSet(std::size_t vm_count);
 
+  /// Back to `vm_count` unconstrained VMs, keeping the storage: a caller
+  /// that recompiles its rules every tick (the daemon) reuses one set.
+  void reset(std::size_t vm_count);
+
   std::size_t vm_count() const noexcept { return parent_.size(); }
   bool empty() const noexcept {
     return anti_affinity_.empty() && pins_.empty() && forbidden_.empty() &&
@@ -93,10 +98,20 @@ class ConstraintSet {
   /// vm_count()). add_affinity links the larger root under the smaller, so
   /// this is the union-find root. Read-only, so a single ConstraintSet can
   /// be shared by concurrent planner tasks.
-  std::size_t affinity_root(std::size_t vm) const noexcept;
+  std::size_t affinity_root(std::size_t vm) const noexcept {
+    if (vm >= parent_.size()) return vm;
+    std::size_t root = vm;
+    while (parent_[root] != root) root = parent_[root];
+    return root;
+  }
 
   /// Host this VM is pinned to, or Placement::kUnplaced.
   std::int32_t pinned_host(std::size_t vm) const noexcept;
+  /// Every pin, in the order added.
+  const std::vector<std::pair<std::size_t, std::int32_t>>& pins()
+      const noexcept {
+    return pins_;
+  }
 
   /// May `vm` go on `host` given the partial placement so far?
   /// Checks pin, forbid, and anti-affinity against already placed VMs.
@@ -104,7 +119,7 @@ class ConstraintSet {
               const Placement& partial) const noexcept;
 
   /// May the whole affinity `group` go on `host` together?
-  bool allows_group(const std::vector<std::size_t>& group, std::int32_t host,
+  bool allows_group(std::span<const std::size_t> group, std::int32_t host,
                     const Placement& partial) const noexcept;
 
   /// Validate a complete placement (used by tests and as a post-condition).

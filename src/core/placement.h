@@ -21,6 +21,9 @@ class Placement {
 
   std::size_t vm_count() const noexcept { return host_of_.size(); }
 
+  /// Grow or shrink to `vm_count` VMs; VMs past the old count are unplaced.
+  void resize(std::size_t vm_count) { host_of_.resize(vm_count, kUnplaced); }
+
   std::int32_t host_of(std::size_t vm) const noexcept { return host_of_[vm]; }
   bool is_placed(std::size_t vm) const noexcept {
     return host_of_[vm] != kUnplaced;

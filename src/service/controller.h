@@ -24,6 +24,16 @@
 // and the batch carries degraded=true. Decisions based on stale demand are
 // worse than no decisions.
 //
+// Layout: per-VM state is a set of flat arrays over dense slots in arrival
+// order. Each VM's demand ring sits in storage that stays put for its life
+// (compact() moves a handle, not samples), an open-addressing table maps
+// ids to handles, and the placement and every per-tick buffer (host loads,
+// the capacity index, the frozen set, the re-plan's scratch) are members
+// refilled in place. Once they have grown to the fleet, apply() allocates
+// nothing for telemetry and a tick without arrivals allocates only its
+// decision batch (tests/test_alloc.cpp; on a pool of more than one worker
+// the host classification also allocates a task per chunk).
+//
 // Determinism: apply()/tick() are sequential over the frame stream; the
 // only parallelism is repair_and_drain's per-host threshold classification,
 // which writes pre-allocated slots — so the decision sequence is
@@ -32,16 +42,19 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "core/admission.h"
+#include "core/capacity_index.h"
 #include "core/constraints.h"
 #include "core/host_pool.h"
 #include "core/placement.h"
 #include "core/settings.h"
 #include "hardware/catalog.h"
 #include "runtime/wire.h"
+#include "service/id_table.h"
 #include "service/protocol.h"
 
 namespace vmcw::service {
@@ -95,9 +108,12 @@ class IncrementalController {
   void save_state(wire::ByteWriter& w) const;
 
   /// Restore state previously written by save_state() against the same
-  /// fleet configuration. Throws std::runtime_error on malformed bytes;
-  /// the controller is left empty in that case (the caller falls back to
-  /// a full WAL replay).
+  /// fleet configuration. Throws std::runtime_error on malformed bytes and
+  /// on any state the live controller cannot reach: a ring cursor off its
+  /// fill count, a host outside the pool, admission that disagrees with
+  /// the host map, a queue other than the resident unadmitted slots in
+  /// order, or a slot after a resident slot of its id. The controller is
+  /// left empty in that case (the caller falls back to a full WAL replay).
   void restore_state(wire::ByteReader& r);
 
   // ---- observers (tests and the CLI) ----
@@ -108,52 +124,91 @@ class IncrementalController {
   bool last_tick_degraded() const noexcept { return degraded_; }
 
  private:
-  struct VmState {
-    std::uint64_t id = 0;
-    std::string app;
-    bool resident = false;  ///< arrived and not departed
-    bool admitted = false;  ///< currently holds a host
-    std::uint64_t last_seen = 0;  ///< tick of the latest demand sample
-    /// Demand ring buffer, newest overwrites oldest past the window.
-    std::vector<ResourceVector> window;
-    std::size_t window_next = 0;
-
-    ResourceVector envelope() const noexcept;
-    void observe(std::uint64_t tick, const ResourceVector& demand,
-                 std::size_t window_cap);
-  };
-
   void on_arrival(const VmArrivalFrame& frame);
   void on_departure(const VmDepartureFrame& frame);
   void on_telemetry(const HostTelemetryDeltaFrame& frame);
+  /// Append one demand sample to a slot's ring and update its envelope.
+  void observe(std::size_t slot, std::uint64_t tick,
+               const ResourceVector& demand) noexcept;
+  /// Max over a slot's ring, per resource, from +0.
+  ResourceVector ring_max(std::size_t slot) const noexcept;
+  std::uint32_t intern_app(const std::string& app);
+  void release_app(std::uint32_t app);
   /// Recompile spread rules over the resident fleet (called lazily at the
   /// next tick after membership changed).
   void rebuild_constraints();
   /// Drop every departed VM's slot, keeping survivors in dense order (the
   /// last step of tick()).
   void compact();
+  /// Empty every per-slot array and table (restore_state's failure path).
+  void clear_state() noexcept;
 
   ControllerConfig config_;
   std::uint64_t fleet_hash_ = 0;
+  /// Samples per demand ring: max(1, config.envelope_window).
+  std::size_t window_ = 1;
 
-  /// Dense per-VM slots in arrival order. A departed VM keeps its slot
-  /// until the end of the next tick, when compact() drops it and shifts
-  /// the survivors down in order, so state follows residents, not uptime.
-  /// Decisions are unchanged by the shift: they name external ids, and
-  /// every tie-break downstream (admission FIFO, spread groups, repair and
-  /// drain scans) depends only on the relative dense order of residents.
-  std::vector<VmState> vms_;
-  /// External VM id -> dense index. Ordered map: admission FIFO and
-  /// constraint groups must not depend on hash iteration order.
-  std::map<std::uint64_t, std::size_t> index_of_;
-  /// Host per dense VM (Placement::kUnplaced when none). Kept as a plain
-  /// vector so arrivals append in O(1); tick() materializes a Placement
-  /// over it for the admission/repair machinery and writes it back.
-  std::vector<std::int32_t> host_of_;
-  std::vector<std::size_t> pending_;  ///< dense ids awaiting admission, FIFO
+  // ---- per-VM state: flat arrays over dense slots in arrival order ----
+  //
+  // A departed VM keeps its slot until the end of the next tick, when
+  // compact() drops it and shifts the survivors down in order, so state
+  // follows residents, not uptime. Decisions are unchanged by the shift:
+  // they name external ids, and every tie-break downstream (admission
+  // FIFO, spread groups, repair and drain scans) depends only on the
+  // relative dense order of residents.
+  std::vector<std::uint64_t> ids_;
+  std::vector<std::uint32_t> app_of_;    ///< interned application
+  std::vector<std::uint8_t> resident_;   ///< arrived and not departed
+  std::vector<std::uint8_t> admitted_;   ///< currently holds a host
+  std::vector<std::uint64_t> last_seen_;  ///< tick of the newest sample
+  /// A VM's handle is fixed for its life: compact() moves the handle,
+  /// never what it names. It names the VM's demand ring, window_ samples
+  /// at rings_[handle * window_], and its entry in slot_of_. ring_next_ is
+  /// the ring's write cursor and ring_fill_ the samples it holds; the
+  /// newest overwrites the oldest once it is full.
+  std::vector<std::uint32_t> handle_;
+  std::vector<std::uint32_t> ring_next_;
+  std::vector<std::uint32_t> ring_fill_;
+  /// Demand envelope per slot: ring_max() of a resident's ring, kept
+  /// current by observe() (a sample leaving the ring forces a rescan only
+  /// if it may have been the max); zero once the VM departs. It is the
+  /// size admission and repair see.
+  std::vector<ResourceVector> envelope_;
+  /// Host per slot (Placement::kUnplaced when none). The admission and
+  /// repair machinery works on it in place.
+  Placement placement_;
+  std::vector<std::size_t> pending_;  ///< slots awaiting admission, FIFO
+
+  std::vector<ResourceVector> rings_;
+  std::vector<std::uint32_t> slot_of_;  ///< handle -> slot
+  std::vector<std::uint32_t> free_handles_;
+  /// External VM id -> handle, for resident VMs. Open addressing with no
+  /// iteration API, so no decision can depend on its order (admission FIFO
+  /// and spread groups follow slot order). A departure removes its id at
+  /// once, and compact() leaves the table alone.
+  IdTable index_of_;
+  /// Application labels interned per distinct label among the slots; a
+  /// label is forgotten when compact() drops its last slot, so the table
+  /// is bounded by residents, not uptime.
+  std::vector<std::string> app_names_;
+  std::vector<std::uint32_t> app_refs_;
+  std::vector<std::uint32_t> free_apps_;
+  std::unordered_map<std::string, std::uint32_t> app_ids_;
+
   ConstraintSet constraints_;
   bool constraints_dirty_ = true;
   bool degraded_ = false;
+
+  // ---- tick buffers: resized in place, so a tick allocates only its
+  // decision batch once they have grown to the fleet ----
+  std::vector<ResourceVector> host_load_;
+  CapacityIndex capacity_index_;
+  std::vector<std::uint8_t> frozen_;
+  std::vector<std::size_t> stale_;
+  std::vector<std::size_t> first_resident_;
+  std::vector<std::size_t> moved_to_;
+  RepairWorkspace repair_;
+  std::vector<Decision> decisions_;  ///< the batch, built before it is copied out
 };
 
 }  // namespace vmcw::service

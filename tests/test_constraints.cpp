@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace vmcw {
 namespace {
+
+/// An affinity group for allows_group, which takes a span.
+using Group = std::vector<std::size_t>;
 
 TEST(ConstraintSet, EmptyByDefault) {
   const ConstraintSet cs(4);
@@ -69,15 +74,15 @@ TEST(ConstraintSet, AllowsGroupChecksAllMembers) {
   cs.add_anti_affinity(1, 3);
   Placement p(4);
   p.assign(3, 0);
-  EXPECT_FALSE(cs.allows_group({0, 1}, 0, p));
-  EXPECT_TRUE(cs.allows_group({0, 2}, 0, p));
+  EXPECT_FALSE(cs.allows_group(Group{0, 1}, 0, p));
+  EXPECT_TRUE(cs.allows_group(Group{0, 2}, 0, p));
 }
 
 TEST(ConstraintSet, AllowsGroupRejectsInternalAntiAffinity) {
   ConstraintSet cs(3);
   cs.add_anti_affinity(0, 1);
   Placement p(3);
-  EXPECT_FALSE(cs.allows_group({0, 1}, 2, p));
+  EXPECT_FALSE(cs.allows_group(Group{0, 1}, 2, p));
 }
 
 TEST(ConstraintSet, SatisfiedByCompletePlacement) {
@@ -191,12 +196,12 @@ TEST(ConstraintSet, DomainSpreadCountsGroupsAsOne) {
   cs.add_domain_spread({0, 1, 2}, paired_domains(), 2);
   Placement p(3);
   // Group {0,1} onto host 0 (domain 0, cap 2): allowed.
-  EXPECT_TRUE(cs.allows_group({0, 1}, 0, p));
+  EXPECT_TRUE(cs.allows_group(Group{0, 1}, 0, p));
   // Group {0,1,2} would put 3 members into domain 0: blocked.
-  EXPECT_FALSE(cs.allows_group({0, 1, 2}, 0, p));
+  EXPECT_FALSE(cs.allows_group(Group{0, 1, 2}, 0, p));
   p.assign(0, 1);  // domain 0 holds one member already
-  EXPECT_FALSE(cs.allows_group({1, 2}, 0, p));
-  EXPECT_TRUE(cs.allows_group({1, 2}, 2, p));
+  EXPECT_FALSE(cs.allows_group(Group{1, 2}, 0, p));
+  EXPECT_TRUE(cs.allows_group(Group{1, 2}, 2, p));
 }
 
 TEST(ConstraintSet, DomainSpreadSatisfiedBy) {
@@ -224,9 +229,9 @@ TEST(ConstraintSet, DomainSpreadPreplacedBaselineCountsTowardTheCap) {
   EXPECT_FALSE(cs.allows(0, 1, p));
   // Domain 1 holds 1 of 2: one local member fits, a pair does not.
   EXPECT_TRUE(cs.allows(0, 2, p));
-  EXPECT_FALSE(cs.allows_group({0, 1}, 2, p));
+  EXPECT_FALSE(cs.allows_group(Group{0, 1}, 2, p));
   // Domain 2 has no baseline: a pair fits, then it is full.
-  EXPECT_TRUE(cs.allows_group({0, 1}, 4, p));
+  EXPECT_TRUE(cs.allows_group(Group{0, 1}, 4, p));
   p.assign(0, 4);
   p.assign(1, 5);
   EXPECT_FALSE(cs.allows(2, 4, p));

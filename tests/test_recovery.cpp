@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -17,12 +18,14 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
 #include "service/io_fault_hooks.h"
 #include "chaos/io_faults.h"
 #include "chaos/process_faults.h"
+#include "hardware/catalog.h"
 #include "runtime/bounded_queue.h"
 #include "runtime/thread_pool.h"
 #include "runtime/wire.h"
@@ -266,6 +269,302 @@ TEST(ControllerState, StateBytesFollowResidentsNotUptime) {
                           << churn.ticks / 4 << ", "
                           << state_size[churn.ticks] << " at tick "
                           << churn.ticks;
+}
+
+/// save_state's layout, decoded field by field, so a test can forge a
+/// well-formed state that the live controller cannot reach.
+struct StateImage {
+  struct Slot {
+    std::uint64_t id = 0;
+    std::string app;
+    std::uint8_t resident = 0;
+    std::uint8_t admitted = 0;
+    std::uint64_t last_seen = 0;
+    std::uint64_t cursor = 0;
+    std::vector<std::pair<double, double>> samples;
+  };
+  std::vector<Slot> slots;
+  std::vector<std::int32_t> hosts;
+  std::vector<std::size_t> pending;
+  std::uint8_t degraded = 0;
+
+  static StateImage decode(const std::vector<std::uint8_t>& bytes) {
+    wire::ByteReader r(bytes.data(), bytes.size());
+    StateImage image;
+    image.slots.resize(r.u64());
+    for (Slot& slot : image.slots) {
+      slot.id = r.u64();
+      slot.app = r.str();
+      slot.resident = r.u8();
+      slot.admitted = r.u8();
+      slot.last_seen = r.u64();
+      slot.cursor = r.u64();
+      slot.samples.resize(r.u64());
+      for (auto& [cpu, mem] : slot.samples) {
+        cpu = r.f64();
+        mem = r.f64();
+      }
+    }
+    image.hosts.resize(r.u64());
+    for (std::int32_t& host : image.hosts) host = r.i32();
+    image.pending = r.vec_u64();
+    image.degraded = r.u8();
+    EXPECT_TRUE(r.exhausted());
+    return image;
+  }
+
+  std::vector<std::uint8_t> encode() const {
+    wire::ByteWriter w;
+    w.u64(slots.size());
+    for (const Slot& slot : slots) {
+      w.u64(slot.id);
+      w.str(slot.app);
+      w.u8(slot.resident);
+      w.u8(slot.admitted);
+      w.u64(slot.last_seen);
+      w.u64(slot.cursor);
+      w.u64(slot.samples.size());
+      for (const auto& [cpu, mem] : slot.samples) {
+        w.f64(cpu);
+        w.f64(mem);
+      }
+    }
+    w.u64(hosts.size());
+    for (const std::int32_t host : hosts) w.i32(host);
+    w.vec_u64(pending);
+    w.u8(degraded);
+    return w.bytes();
+  }
+
+  /// First slot matching `pred`; fails the test when there is none.
+  template <typename Pred>
+  std::size_t find(Pred pred) const {
+    for (std::size_t i = 0; i < slots.size(); ++i)
+      if (pred(slots[i], hosts[i])) return i;
+    ADD_FAILURE() << "no slot of the wanted shape";
+    return 0;
+  }
+};
+
+/// A live controller state holding every slot shape: admitted residents
+/// with full rings, arrivals still queued, and a departed slot the next
+/// tick would drop. It is cut right after a departure in tick 16.
+std::vector<std::uint8_t> live_state_of_every_shape() {
+  ChurnOptions churn;
+  churn.agents = 4;
+  churn.initial_vms = 40;
+  churn.ticks = 20;
+  churn.arrivals_per_tick = 4.0;
+  churn.departure_prob = 0.05;
+  churn.mean_host_fraction = 0.3;
+  churn.seed = 7;
+  IncrementalController controller{ControllerConfig{}};
+  for (const Frame& frame : generate_churn(churn, ControllerConfig{})) {
+    if (const auto* flush = std::get_if<FlushFrame>(&frame)) {
+      controller.tick(flush->tick);
+      continue;
+    }
+    controller.apply(frame);
+    const auto* departure = std::get_if<VmDepartureFrame>(&frame);
+    if (departure != nullptr && departure->tick >= 16) break;
+  }
+  wire::ByteWriter w;
+  controller.save_state(w);
+  return w.bytes();
+}
+
+/// Restoring `image` into a controller over `config` throws, and leaves
+/// the controller empty.
+void expect_rejected(const StateImage& image, const char* what,
+                     const ControllerConfig& config = ControllerConfig{}) {
+  SCOPED_TRACE(what);
+  const std::vector<std::uint8_t> bytes = image.encode();
+  IncrementalController victim{config};
+  wire::ByteReader r(bytes.data(), bytes.size());
+  EXPECT_THROW(victim.restore_state(r), std::runtime_error);
+  EXPECT_EQ(victim.resident_vms(), 0u);
+  wire::ByteWriter after;
+  victim.save_state(after);
+  wire::ByteWriter empty;
+  IncrementalController{config}.save_state(empty);
+  EXPECT_EQ(after.bytes(), empty.bytes());
+}
+
+const std::size_t kWindow = ControllerConfig{}.envelope_window;
+
+TEST(ControllerState, EveryShapeOfTheLiveStateRestores) {
+  const std::vector<std::uint8_t> bytes = live_state_of_every_shape();
+  const StateImage image = StateImage::decode(bytes);
+  EXPECT_EQ(image.encode(), bytes);
+  image.find([](const auto& s, std::int32_t host) {
+    return s.admitted && host >= 0 && s.samples.size() == kWindow;
+  });
+  image.find([](const auto& s, std::int32_t) {
+    return s.resident && !s.admitted && s.samples.size() < kWindow;
+  });
+  image.find([](const auto& s, std::int32_t) { return !s.resident; });
+  IncrementalController restored{ControllerConfig{}};
+  wire::ByteReader r(bytes.data(), bytes.size());
+  restored.restore_state(r);
+  wire::ByteWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.bytes(), bytes);
+}
+
+TEST(ControllerState, RestoreRejectsARingCursorOffItsFillCount) {
+  const StateImage live = StateImage::decode(live_state_of_every_shape());
+  const std::size_t full = live.find([](const auto& s, std::int32_t) {
+    return s.samples.size() == kWindow;
+  });
+  const std::size_t filling = live.find([](const auto& s, std::int32_t) {
+    return s.resident && s.samples.size() < kWindow;
+  });
+  {
+    // A full ring's cursor past its end: the next sample would land one
+    // past the ring.
+    StateImage image = live;
+    image.slots[full].cursor = kWindow;
+    expect_rejected(image, "full ring, cursor at the window");
+  }
+  {
+    StateImage image = live;
+    image.slots[filling].cursor = image.slots[filling].samples.size() - 1;
+    expect_rejected(image, "filling ring, cursor behind its fill");
+  }
+  {
+    StateImage image = live;
+    image.slots[filling].samples.clear();
+    image.slots[filling].cursor = 0;
+    expect_rejected(image, "empty ring");
+  }
+}
+
+TEST(ControllerState, RestoreRejectsAHostOutsideThePool) {
+  const StateImage live = StateImage::decode(live_state_of_every_shape());
+  const std::size_t placed = live.find(
+      [](const auto& s, std::int32_t host) { return s.admitted && host >= 0; });
+  {
+    StateImage image = live;
+    image.hosts[placed] = -2;
+    expect_rejected(image, "host index below -1");
+  }
+  // Against a bounded pool just large enough for the live state, one
+  // host past its end is refused.
+  const std::int32_t highest =
+      *std::max_element(live.hosts.begin(), live.hosts.end());
+  ControllerConfig bounded;
+  bounded.pool = HostPool(
+      {HostClass{hs23_elite_blade(), static_cast<std::size_t>(highest) + 1}});
+  {
+    const std::vector<std::uint8_t> bytes = live.encode();
+    IncrementalController fits{bounded};
+    wire::ByteReader r(bytes.data(), bytes.size());
+    EXPECT_NO_THROW(fits.restore_state(r));
+  }
+  StateImage image = live;
+  image.hosts[placed] = highest + 1;
+  expect_rejected(image, "host past a bounded pool", bounded);
+}
+
+TEST(ControllerState, RestoreRejectsAdmissionThatDisagreesWithTheHostMap) {
+  const StateImage live = StateImage::decode(live_state_of_every_shape());
+  const std::size_t placed = live.find(
+      [](const auto& s, std::int32_t host) { return s.admitted && host >= 0; });
+  const std::size_t departed =
+      live.find([](const auto& s, std::int32_t) { return !s.resident; });
+  {
+    StateImage image = live;
+    image.slots[placed].admitted = 0;
+    expect_rejected(image, "placed but not admitted");
+  }
+  {
+    StateImage image = live;
+    image.hosts[placed] = -1;
+    expect_rejected(image, "admitted but unplaced");
+  }
+  {
+    StateImage image = live;
+    image.slots[departed].admitted = 1;
+    image.hosts[departed] = 0;
+    expect_rejected(image, "departed slot holding a host");
+  }
+}
+
+TEST(ControllerState, RestoreRejectsAQueueOtherThanTheUnadmittedResidents) {
+  const StateImage live = StateImage::decode(live_state_of_every_shape());
+  ASSERT_FALSE(live.pending.empty());
+  const std::size_t placed = live.find(
+      [](const auto& s, std::int32_t host) { return s.admitted && host >= 0; });
+  const std::size_t departed =
+      live.find([](const auto& s, std::int32_t) { return !s.resident; });
+  {
+    StateImage image = live;
+    image.pending.push_back(image.pending.back());
+    expect_rejected(image, "an entry twice");
+  }
+  {
+    StateImage image = live;
+    image.pending.push_back(placed);
+    std::sort(image.pending.begin(), image.pending.end());
+    expect_rejected(image, "an admitted entry");
+  }
+  {
+    StateImage image = live;
+    image.pending.push_back(departed);
+    std::sort(image.pending.begin(), image.pending.end());
+    expect_rejected(image, "a departed entry");
+  }
+  {
+    StateImage image = live;
+    image.pending.pop_back();
+    expect_rejected(image, "an unadmitted resident left out");
+  }
+  {
+    StateImage image = live;
+    image.pending.push_back(image.slots.size());
+    expect_rejected(image, "an entry past the slots");
+  }
+}
+
+TEST(ControllerState, RestoreRejectsASlotAfterAResidentSlotOfItsId) {
+  const StateImage live = StateImage::decode(live_state_of_every_shape());
+  const std::size_t departed =
+      live.find([](const auto& s, std::int32_t) { return !s.resident; });
+  const std::size_t first = live.find([](const auto& s, std::int32_t) {
+    return s.resident != 0;
+  });
+  std::size_t later = live.slots.size();
+  for (std::size_t i = live.slots.size(); i-- > 0;)
+    if (live.slots[i].resident && i != first) later = i;
+  ASSERT_LT(later, live.slots.size());
+  {
+    StateImage image = live;
+    image.slots[later].id = image.slots[first].id;
+    expect_rejected(image, "two resident slots of one id");
+  }
+  // A departed slot may precede a resident slot of its id (the VM came
+  // back), but no slot may follow a resident one.
+  std::size_t resident_after = live.slots.size();
+  for (std::size_t i = departed + 1; i < live.slots.size(); ++i)
+    if (live.slots[i].resident) {
+      resident_after = i;
+      break;
+    }
+  ASSERT_LT(resident_after, live.slots.size());
+  {
+    StateImage image = live;
+    image.slots[departed].id = image.slots[resident_after].id;
+    const std::vector<std::uint8_t> bytes = image.encode();
+    IncrementalController restored{ControllerConfig{}};
+    wire::ByteReader r(bytes.data(), bytes.size());
+    EXPECT_NO_THROW(restored.restore_state(r));
+  }
+  const std::size_t resident_before = live.find(
+      [](const auto& s, std::int32_t) { return s.resident != 0; });
+  ASSERT_LT(resident_before, departed);
+  StateImage image = live;
+  image.slots[departed].id = image.slots[resident_before].id;
+  expect_rejected(image, "a departed slot after a resident slot of its id");
 }
 
 // ------------------------------------------------------ segment rotation
@@ -692,6 +991,65 @@ TEST(Recovery, StaleFleetSnapshotFallsBackToFullReplay) {
   EXPECT_FALSE(opened.snapshot_loaded);
   EXPECT_EQ(opened.frames_recovered, cut);  // full replay
   daemon.close();
+}
+
+TEST(Recovery, UnreachableSnapshotStateFallsBackToFullReplay) {
+  // Checksum-valid snapshots whose controller state the live controller
+  // cannot reach are refused by restore_state, and the daemon's full
+  // replay then decides exactly as an uninterrupted run.
+  const std::string dir = temp_dir("vmcw_rec_unreachable");
+  const auto frames = small_churn();
+  const std::size_t cut = frames.size() * 2 / 3;
+  const std::string ref = reference_decisions(dir, frames);
+  ASSERT_FALSE(ref.empty());
+  {
+    Daemon daemon(ControllerConfig{}, bounded_options(dir, false, true));
+    daemon.open();
+    feed(daemon, frames, 0, cut);
+    daemon.close();
+    ASSERT_GT(daemon.stats().snapshots_written, 0u);
+  }
+  SnapshotData snap;
+  ASSERT_EQ(read_snapshot(dir + "/ctrl.snap", fleet_hash(), snap),
+            SnapshotStatus::kOk);
+  const StateImage live = StateImage::decode(snap.controller_state);
+  const std::size_t placed = live.find(
+      [](const auto& s, std::int32_t host) { return s.admitted && host >= 0; });
+
+  std::vector<std::pair<const char*, StateImage>> forgeries;
+  {
+    // The ring full and its cursor at the window: the next sample would
+    // be written one past the ring.
+    StateImage image = live;
+    auto& slot = image.slots[placed];
+    slot.samples.resize(kWindow, slot.samples.front());
+    slot.cursor = kWindow;
+    forgeries.emplace_back("cursor_at_window", image);
+  }
+  {
+    StateImage image = live;
+    image.hosts[placed] = -2;
+    forgeries.emplace_back("host_below_unplaced", image);
+  }
+  for (const auto& [name, image] : forgeries) {
+    SCOPED_TRACE(name);
+    const std::string copy = dir + "/" + name;
+    fs::create_directories(copy);
+    for (const auto& entry : fs::directory_iterator(dir))
+      if (entry.is_regular_file())
+        fs::copy_file(entry.path(), fs::path(copy) / entry.path().filename());
+    SnapshotData forged = snap;
+    forged.controller_state = image.encode();
+    ASSERT_TRUE(write_snapshot(copy + "/ctrl.snap", fleet_hash(), forged));
+
+    Daemon daemon(ControllerConfig{}, bounded_options(copy, true, true));
+    const auto opened = daemon.open();
+    EXPECT_FALSE(opened.snapshot_loaded);
+    EXPECT_EQ(opened.frames_recovered, cut);  // full replay
+    feed(daemon, frames, cut, frames.size());
+    daemon.close();
+    EXPECT_EQ(file_bytes(copy + "/live.decisions"), ref);
+  }
 }
 
 TEST(Recovery, SnapshotPastTheSurvivingChainIsRefused) {

@@ -117,6 +117,53 @@ TEST(CapacityIndex, StaysExactThroughPlaceEvictCycles) {
   }
 }
 
+TEST(CapacityIndex, BulkRefillAnswersLikeHostByHostBuilds) {
+  // One index refilled in bulk again and again, over fleets that grow and
+  // shrink, against a fresh index built host by host for each fleet.
+  Rng rng(1208);
+  CapacityIndex refilled;
+  for (int round = 0; round < 30; ++round) {
+    const auto hosts = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    std::vector<ResourceVector> capacity(hosts);
+    std::vector<ResourceVector> load(hosts);
+    CapacityIndex built;
+    for (std::size_t h = 0; h < hosts; ++h) {
+      capacity[h] = {rng.uniform(100.0, 50000.0), rng.uniform(1000.0, 2e5)};
+      load[h] = {capacity[h].cpu_rpe2 * rng.uniform(0.0, 1.2),
+                 capacity[h].memory_mb * rng.uniform(0.0, 1.2)};
+      if (rng.bernoulli(0.1)) load[h] = capacity[h];  // exactly full
+      built.push_host(capacity[h]);
+      built.set_load(h, load[h]);
+    }
+    refilled.assign(load, [&](std::size_t h) { return capacity[h]; });
+    ASSERT_EQ(refilled.size(), hosts);
+    for (int trial = 0; trial < 200; ++trial) {
+      const ResourceVector need{rng.uniform(0.0, 60000.0),
+                                rng.uniform(0.0, 2.5e5)};
+      const std::size_t from =
+          static_cast<std::size_t>(rng.uniform_int(0, 2 * hosts + 1)) / 2;
+      EXPECT_EQ(refilled.first_fit(need, from), built.first_fit(need, from))
+          << "round " << round << " trial " << trial;
+    }
+    // Admission keeps a refilled index in sync the same way: push opened
+    // hosts, set loads.
+    for (int step = 0; step < 8; ++step) {
+      const ResourceVector cap{rng.uniform(100.0, 50000.0),
+                               rng.uniform(1000.0, 2e5)};
+      const ResourceVector used{cap.cpu_rpe2 * rng.uniform(0.0, 1.0),
+                                cap.memory_mb * rng.uniform(0.0, 1.0)};
+      for (CapacityIndex* index : {&refilled, &built}) {
+        index->push_host(cap);
+        index->set_load(index->size() - 1, used);
+      }
+      const ResourceVector need{rng.uniform(0.0, 60000.0),
+                                rng.uniform(0.0, 2.5e5)};
+      EXPECT_EQ(refilled.first_fit(need), built.first_fit(need))
+          << "round " << round << " step " << step;
+    }
+  }
+}
+
 TEST(CapacityIndex, EmptyAndOutOfRangeQueries) {
   CapacityIndex index;
   EXPECT_EQ(index.first_fit({1.0, 1.0}), CapacityIndex::npos);
@@ -254,8 +301,10 @@ TEST(IndexedAdmission, RepairAndDrainMatchesLinearScan) {
 
   Placement linear_placement = placement;
   std::vector<ResourceVector> linear_load = load;
-  const auto linear = repair_and_drain(sizes, linear_placement, linear_load,
-                                       pool, bound, 0.2, constraints);
+  RepairWorkspace linear_workspace;
+  const RepairOutcome& linear =
+      repair_and_drain(linear_workspace, sizes, linear_placement, linear_load,
+                       pool, bound, 0.2, constraints);
 
   Placement indexed_placement = placement;
   std::vector<ResourceVector> indexed_load = load;
@@ -264,9 +313,10 @@ TEST(IndexedAdmission, RepairAndDrainMatchesLinearScan) {
     index.push_host(pool.capacity_of(h, bound));
     index.set_load(h, indexed_load[h]);
   }
-  const auto indexed =
-      repair_and_drain(sizes, indexed_placement, indexed_load, pool, bound,
-                       0.2, constraints, {}, &index);
+  RepairWorkspace indexed_workspace;
+  const RepairOutcome& indexed =
+      repair_and_drain(indexed_workspace, sizes, indexed_placement,
+                       indexed_load, pool, bound, 0.2, constraints, {}, &index);
 
   EXPECT_FALSE(linear.repair_moves.empty());
   ASSERT_EQ(indexed.repair_moves.size(), linear.repair_moves.size());
@@ -369,8 +419,10 @@ TEST(IndexedAdmission, RepairAndDrainGoldenUnderConstraints) {
 
     Placement linear_placement = placement;
     std::vector<ResourceVector> linear_load = load;
-    const auto linear = repair_and_drain(sizes, linear_placement, linear_load,
-                                         pool, bound, 0.2, constraints);
+    RepairWorkspace linear_workspace;
+    const RepairOutcome& linear =
+        repair_and_drain(linear_workspace, sizes, linear_placement,
+                         linear_load, pool, bound, 0.2, constraints);
 
     Placement indexed_placement = placement;
     std::vector<ResourceVector> indexed_load = load;
@@ -379,9 +431,10 @@ TEST(IndexedAdmission, RepairAndDrainGoldenUnderConstraints) {
       index.push_host(pool.capacity_of(h, bound));
       index.set_load(h, indexed_load[h]);
     }
-    const auto indexed =
-        repair_and_drain(sizes, indexed_placement, indexed_load, pool, bound,
-                         0.2, constraints, {}, &index);
+    RepairWorkspace indexed_workspace;
+    const RepairOutcome& indexed = repair_and_drain(
+        indexed_workspace, sizes, indexed_placement, indexed_load, pool, bound,
+        0.2, constraints, {}, &index);
 
     EXPECT_FALSE(linear.repair_moves.empty());
     EXPECT_EQ(repair_outcome_hash(linear, linear_placement), c.golden);

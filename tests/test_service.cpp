@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -20,6 +22,7 @@
 #include "service/churn.h"
 #include "service/controller.h"
 #include "service/daemon.h"
+#include "service/id_table.h"
 #include "service/protocol.h"
 #include "service/telemetry_log.h"
 #include "test_helpers.h"
@@ -430,12 +433,33 @@ TEST(Daemon, LiveIngestMatchesReplay) {
   EXPECT_EQ(live_bytes, file_bytes(replayed));
 }
 
+std::vector<std::uint8_t> state_bytes(const IncrementalController& c) {
+  wire::ByteWriter w;
+  c.save_state(w);
+  return w.bytes();
+}
+
+/// Slot count of a saved state: its leading u64.
+std::uint64_t state_slots(const IncrementalController& c) {
+  const auto bytes = state_bytes(c);
+  wire::ByteReader r(bytes.data(), bytes.size());
+  return r.u64();
+}
+
+std::uint64_t state_hash(const IncrementalController& c) {
+  const auto bytes = state_bytes(c);
+  return wire::fnv1a64(bytes.data(), bytes.size());
+}
+
 // Golden pins: the decision-log bytes of two long churn streams fed through
-// Daemon::ingest, recorded once and frozen. Any controller change that
-// claims to keep decisions (state layout, bookkeeping, performance) must
-// leave both hashes alone. The spread stream runs on a bounded pool with
-// small failure domains, so it also pins capacity holds, VMs departing
-// while still queued, and holds on hosts whose overload repair cannot fix.
+// Daemon::ingest, recorded once and frozen, and the controller's save_state
+// bytes at the end of each stream and right after a mid-stream departure
+// (a state still holding the departed slot). Any controller change that
+// claims to keep decisions and snapshots (state layout, bookkeeping,
+// performance) must leave every hash alone. The spread stream runs on a
+// bounded pool with small failure domains, so it also pins capacity holds,
+// VMs departing while still queued, and holds on hosts whose overload
+// repair cannot fix.
 TEST(Daemon, GoldenDecisionLogPins) {
   ControllerConfig spread;
   spread.pool = HostPool({HostClass{hs23_elite_blade(), 28}});
@@ -447,9 +471,13 @@ TEST(Daemon, GoldenDecisionLogPins) {
     const char* name;
     ControllerConfig config;
     std::uint64_t pin;
+    std::uint64_t mid_state_pin;
+    std::uint64_t end_state_pin;
   } cases[] = {
-      {"spread_off", ControllerConfig{}, 0x5841b3a661a1002cULL},
-      {"spread_on", spread, 0x8994b0a31dc929ecULL},
+      {"spread_off", ControllerConfig{}, 0x5841b3a661a1002cULL,
+       0x528dffe6a9af4b61ULL, 0xd094b38449662ea8ULL},
+      {"spread_on", spread, 0x8994b0a31dc929ecULL, 0xe9e453782e2b41bdULL,
+       0x9b0df7bb0fed6fcfULL},
   };
   for (const auto& c : cases) {
     const std::string dir = temp_dir(
@@ -462,11 +490,22 @@ TEST(Daemon, GoldenDecisionLogPins) {
     daemon.open();
     std::size_t departures = 0;
     std::size_t stuck_holds = 0;
+    std::size_t flushes = 0;
+    std::optional<std::uint64_t> mid_state;
     for (const Frame& frame : long_churn(c.config, 20141208)) {
       departures += std::holds_alternative<VmDepartureFrame>(frame);
+      flushes += std::holds_alternative<FlushFrame>(frame);
       for (const Decision& d : daemon.ingest(frame).decisions)
         stuck_holds += d.reason == DecisionReason::kNoCapacity && d.from >= 0;
+      if (!mid_state && flushes >= 30 &&
+          std::holds_alternative<VmDepartureFrame>(frame)) {
+        EXPECT_GT(state_slots(daemon.controller()),
+                  daemon.controller().resident_vms())
+            << c.name;
+        mid_state = state_hash(daemon.controller());
+      }
     }
+    const std::uint64_t end_state = state_hash(daemon.controller());
     daemon.close();
     const DaemonStats& stats = daemon.stats();
     EXPECT_GE(departures, 150u) << c.name;
@@ -480,7 +519,48 @@ TEST(Daemon, GoldenDecisionLogPins) {
     }
     EXPECT_EQ(fnv1a64_of(file_bytes(options.decisions_path)), c.pin)
         << c.name << ": decision log bytes moved";
+    ASSERT_TRUE(mid_state.has_value()) << c.name;
+    EXPECT_EQ(*mid_state, c.mid_state_pin)
+        << c.name << ": save_state bytes after a departure moved";
+    EXPECT_EQ(end_state, c.end_state_pin)
+        << c.name << ": save_state bytes at the end of the stream moved";
   }
+}
+
+// ------------------------------------------------------------- id table
+
+TEST(IdTable, AgreesWithAnOrderedMapUnderChurn) {
+  // Inserts, overwrites and erases over a small id range, so probe runs
+  // collide and wrap; ids include 0 and the all-ones word.
+  Rng rng(33);
+  IdTable table;
+  std::map<std::uint64_t, std::uint32_t> reference;
+  auto id_of = [](std::int64_t k) {
+    return k == 0 ? ~std::uint64_t{0} : static_cast<std::uint64_t>(k - 1) * 7919;
+  };
+  for (int step = 0; step < 40000; ++step) {
+    const std::uint64_t id = id_of(rng.uniform_int(0, 600));
+    if (rng.bernoulli(0.45)) {
+      table.erase(id);
+      reference.erase(id);
+    } else {
+      const auto value = static_cast<std::uint32_t>(rng.uniform_int(0, 1 << 20));
+      table.assign(id, value);
+      reference[id] = value;
+    }
+    if (step % 997 == 0) {
+      for (std::int64_t k = 0; k <= 600; ++k) {
+        const auto it = reference.find(id_of(k));
+        ASSERT_EQ(table.find(id_of(k)),
+                  it == reference.end() ? IdTable::kNone : it->second)
+            << "step " << step << " id " << id_of(k);
+      }
+      ASSERT_EQ(table.size(), reference.size());
+    }
+  }
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.find(id_of(1)), IdTable::kNone);
 }
 
 // ------------------------------------------------------------- controller
@@ -595,19 +675,6 @@ TEST(Controller, RejectsMismatchedHello) {
 // tick() drops every departed VM's slot at its end. These pin the edges of
 // that: ids coming back, input for ids already dropped, departures from
 // the admission queue, and snapshots that still hold a departed slot.
-
-std::vector<std::uint8_t> state_bytes(const IncrementalController& c) {
-  wire::ByteWriter w;
-  c.save_state(w);
-  return w.bytes();
-}
-
-/// Slot count of a saved state: its leading u64.
-std::uint64_t state_slots(const IncrementalController& c) {
-  const auto bytes = state_bytes(c);
-  wire::ByteReader r(bytes.data(), bytes.size());
-  return r.u64();
-}
 
 TEST(ControllerCompaction, DepartedIdReArrivingSameTickGetsAFreshSlot) {
   IncrementalController controller{ControllerConfig{}};
